@@ -37,7 +37,6 @@
 #include "obs/span_tracer.h"
 #include "obs/stage_profiler.h"
 #include "models/markov.h"
-#include "models/markov2.h"
 #include "models/tan.h"
 #include "monitor/vm_monitor.h"
 #include "sim/clock.h"
@@ -102,7 +101,7 @@ void BM_SimpleMarkovTraining600(benchmark::State& state) {
   const auto& data = training_data();
   for (auto _ : state) {
     for (std::size_t a = 0; a < kAttributeCount; ++a) {
-      MarkovChain chain(kBins);
+      MarkovModel chain(/*order=*/1, kBins);
       chain.train(data.symbol_columns[a]);
       benchmark::DoNotOptimize(chain);
     }
@@ -114,7 +113,7 @@ void BM_TwoDepMarkovTraining600(benchmark::State& state) {
   const auto& data = training_data();
   for (auto _ : state) {
     for (std::size_t a = 0; a < kAttributeCount; ++a) {
-      TwoDependentMarkov chain(kBins);
+      MarkovModel chain(/*order=*/2, kBins);
       chain.train(data.symbol_columns[a]);
       benchmark::DoNotOptimize(chain);
     }

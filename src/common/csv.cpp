@@ -1,5 +1,8 @@
 #include "common/csv.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -59,11 +62,12 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return fields;
 }
 
-CsvReader::CsvReader(const std::string& path) : in_(path) {
+CsvReader::CsvReader(const std::string& path) : path_(path), in_(path) {
   if (!in_) throw std::runtime_error("cannot open csv file: " + path);
   std::string line;
   if (!std::getline(in_, line))
     throw std::runtime_error("empty csv file: " + path);
+  line_ = 1;
   header_ = split_csv_line(line);
 }
 
@@ -78,13 +82,36 @@ bool CsvReader::next(std::vector<std::string>* fields) {
   PREPARE_CHECK(fields != nullptr);
   std::string line;
   while (std::getline(in_, line)) {
+    ++line_;
     if (line.empty()) continue;
     *fields = split_csv_line(line);
     PREPARE_CHECK_MSG(fields->size() == header_.size(),
-                      "csv row width does not match header");
+                      path_ + ":" + std::to_string(line_) +
+                          ": csv row width does not match header");
     return true;
   }
   return false;
+}
+
+double CsvReader::number(const std::vector<std::string>& fields,
+                         std::size_t column) const {
+  PREPARE_CHECK(column < fields.size() && column < header_.size());
+  const std::string& field = fields[column];
+  // strtod is what std::stod calls, so accepted values parse to the same
+  // bits; unlike std::stod, trailing garbage and nan/inf are rejected.
+  const char* begin = field.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  const bool converted = end != begin;
+  while (*end == ' ' || *end == '\t') ++end;
+  if (!converted || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    throw std::runtime_error(path_ + ":" + std::to_string(line_) +
+                             ": column '" + header_[column] +
+                             "': not a finite number: '" + field + "'");
+  }
+  return value;
 }
 
 }  // namespace prepare

@@ -47,9 +47,18 @@ class CsvReader {
   /// field count does not match the header.
   bool next(std::vector<std::string>* fields);
 
+  /// Parses field `column` of the row next() just returned as a finite
+  /// number (surrounding blanks allowed). Throws std::runtime_error
+  /// naming the file, line and column when the field is empty, not
+  /// entirely numeric, out of double range, or nan/inf.
+  double number(const std::vector<std::string>& fields,
+                std::size_t column) const;
+
  private:
+  std::string path_;
   std::ifstream in_;
   std::vector<std::string> header_;
+  std::size_t line_ = 0;  ///< 1-based line of the last row read
 };
 
 /// Splits one CSV line on commas (no quote handling).

@@ -81,7 +81,7 @@ class VmId : public internal::StrongOrdinal<VmId, std::uint32_t> {
 };
 
 /// A count of sampling intervals (the paper's look-ahead "k"): the
-/// prediction horizon of ValuePredictor::predict / AnomalyPredictor::
+/// prediction horizon of MarkovModel::predict / AnomalyPredictor::
 /// predict, i.e. lookahead_s / sampling_interval_s rounded.
 class TickIndex : public internal::StrongOrdinal<TickIndex, std::size_t> {
  public:

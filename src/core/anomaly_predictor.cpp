@@ -4,9 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "models/markov.h"
-#include "models/markov2.h"
-#include "models/markov_n.h"
 #include "models/naive_bayes.h"
 #include "models/outlier.h"
 #include "models/tan.h"
@@ -18,17 +15,7 @@ AnomalyPredictor::AnomalyPredictor(std::vector<std::string> feature_names,
     : names_(std::move(feature_names)), config_(config) {
   PREPARE_CHECK_MSG(!names_.empty(), "predictor needs at least one feature");
   PREPARE_CHECK(config_.bins >= 2);
-}
-
-std::unique_ptr<ValuePredictor> AnomalyPredictor::make_value_predictor(
-    std::size_t alphabet) const {
-  if (config_.custom_markov_order > 0)
-    return std::make_unique<NDependentMarkov>(
-        config_.custom_markov_order, alphabet, config_.markov_alpha);
-  if (config_.order == MarkovOrder::kSimple)
-    return std::make_unique<MarkovChain>(alphabet, config_.markov_alpha);
-  return std::make_unique<TwoDependentMarkov>(alphabet,
-                                              config_.markov_alpha);
+  PREPARE_CHECK(config_.markov_order >= 1);
 }
 
 void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
@@ -77,10 +64,11 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
   // Train the per-feature value predictors on the discretized sequences.
   // Alphabets are per-feature: quantile discretization merges ties.
   predictors_.clear();
+  predictors_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto predictor = make_value_predictor(discretizers_[i].bins());
-    predictor->train(discretizers_[i].discretize(columns[i]));
-    predictors_.push_back(std::move(predictor));
+    predictors_.emplace_back(config_.markov_order, discretizers_[i].bins(),
+                             config_.markov_alpha);
+    predictors_.back().train(discretizers_[i].discretize(columns[i]));
   }
 
   // Train the classifier on discretized rows + labels.
@@ -180,8 +168,7 @@ void AnomalyPredictor::set_introspect(obs::ModelIntrospect* introspect) {
 void AnomalyPredictor::report_model_state() const {
   if (introspect_ == nullptr || !trained_) return;
   for (std::size_t i = 0; i < predictors_.size(); ++i) {
-    const ValuePredictor::RowStats stats = predictors_[i]->row_stats();
-    if (stats.rows == 0) continue;
+    const MarkovModel::RowStats stats = predictors_[i].row_stats();
     const double occupied = static_cast<double>(stats.occupied_rows);
     introspect_->probe_markov(
         i,
@@ -201,7 +188,7 @@ void AnomalyPredictor::observe(const std::vector<double>& row) {
   if (capture_evidence_) last_raw_row_ = row;
   for (std::size_t i = 0; i < row.size(); ++i) {
     last_row_[i] = discretizers_[i].discretize(row[i]);
-    predictors_[i]->observe(BinIndex{last_row_[i]}, config_.online_learning);
+    predictors_[i].observe(BinIndex{last_row_[i]}, config_.online_learning);
   }
   if (introspect_ != nullptr) {
     // observe() runs in the controller's serial per-VM loop (driver
@@ -215,7 +202,7 @@ void AnomalyPredictor::observe(const std::vector<double>& row) {
 bool AnomalyPredictor::ready() const {
   if (!trained_ || !has_observation_) return false;
   for (const auto& p : predictors_)
-    if (!p->ready()) return false;
+    if (!p.ready()) return false;
   return true;
 }
 
@@ -250,7 +237,7 @@ void AnomalyPredictor::predict_into(TickIndex steps, bool with_horizon,
   {
     obs::ScopedTimer timer(stage_lookahead_);
     for (std::size_t i = 0; i < predictors_.size(); ++i)
-      predictors_[i]->predict_into(steps, &dists[i]);
+      predictors_[i].predict_into(steps, &dists[i]);
   }
 
   obs::ScopedTimer classify_timer(stage_classify_);
@@ -278,7 +265,7 @@ void AnomalyPredictor::predict_with_horizon_into(TickIndex steps,
   {
     obs::ScopedTimer timer(stage_lookahead_);
     for (std::size_t i = 0; i < predictors_.size(); ++i)
-      predictors_[i]->predict_path_into(steps, &paths[i]);
+      predictors_[i].predict_path_into(steps, &paths[i]);
   }
 
   const std::size_t k = steps.value();

@@ -17,13 +17,11 @@
 #include "common/analyze_annotations.h"
 #include "models/classifier.h"
 #include "models/discretizer.h"
-#include "models/value_predictor.h"
+#include "models/markov.h"
 #include "obs/model_introspect.h"
 #include "obs/stage_profiler.h"
 
 namespace prepare {
-
-enum class MarkovOrder { kSimple, kTwoDependent };
 
 /// kOutlier is the Section V extension: an unsupervised tree-structured
 /// density model that flags never-seen states, enabling prediction of
@@ -47,11 +45,10 @@ struct PredictorConfig {
   /// the edge bins instead of stretching the grid so far that the whole
   /// healthy-to-degrading trajectory collapses into one bin.
   bool fit_on_normal = true;
-  MarkovOrder order = MarkovOrder::kTwoDependent;
-  /// Overrides `order` with an arbitrary context length when > 0 (uses
-  /// the generalized NDependentMarkov; 1 and 2 then coincide with the
-  /// enum choices). Higher orders need alphabet^order rows of data.
-  std::size_t custom_markov_order = 0;
+  /// Context length of the per-feature Markov value predictors: 2 is
+  /// the paper's 2-dependent model, 1 the simple chain of the Fig. 11
+  /// baseline. Higher orders need alphabet^order rows of data.
+  std::size_t markov_order = 2;
   ClassifierKind classifier = ClassifierKind::kTan;
   double classifier_alpha = 0.5;       ///< Laplace smoothing (CPTs)
   double markov_alpha = 0.05;          ///< Laplace smoothing (transitions)
@@ -206,8 +203,6 @@ class AnomalyPredictor {
   void report_model_state() const;
 
  private:
-  std::unique_ptr<ValuePredictor> make_value_predictor(
-      std::size_t alphabet) const;
   /// predict_into() variant taken when an introspector is attached: one
   /// full horizon path per feature instead of a single final
   /// distribution. The final-step path elements are bit-identical to
@@ -225,7 +220,7 @@ class AnomalyPredictor {
   bool trained_ = false;
 
   std::vector<Discretizer> discretizers_;
-  std::vector<std::unique_ptr<ValuePredictor>> predictors_;
+  std::vector<MarkovModel> predictors_;
   std::unique_ptr<Classifier> classifier_;
   std::vector<std::size_t> last_row_;
   /// Raw values of the latest observe() row; only maintained when

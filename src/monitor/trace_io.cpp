@@ -47,8 +47,8 @@ MetricStore load_metric_store_csv(const std::string& path) {
   while (csv.next(&fields)) {
     AttributeVector values{};
     for (std::size_t a = 0; a < kAttributeCount; ++a)
-      values[a] = std::stod(fields[attr_cols[a]]);
-    store.record(fields[vm_col], std::stod(fields[time_col]), values);
+      values[a] = csv.number(fields, attr_cols[a]);
+    store.record(fields[vm_col], csv.number(fields, time_col), values);
   }
   return store;
 }
@@ -76,8 +76,8 @@ SloLog load_slo_log_csv(const std::string& path) {
   SloLog slo;
   std::vector<std::string> fields;
   while (csv.next(&fields)) {
-    slo.record(std::stod(fields[time_col]), std::stod(fields[dt_col]),
-               fields[violated_col] == "1", std::stod(fields[metric_col]));
+    slo.record(csv.number(fields, time_col), csv.number(fields, dt_col),
+               fields[violated_col] == "1", csv.number(fields, metric_col));
   }
   return slo;
 }

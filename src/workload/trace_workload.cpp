@@ -29,7 +29,7 @@ TraceWorkload TraceWorkload::from_csv(const std::string& path,
   std::vector<std::string> fields;
   while (csv.next(&fields))
     points.push_back(
-        {std::stod(fields[time_col]), std::stod(fields[rate_col])});
+        {csv.number(fields, time_col), csv.number(fields, rate_col)});
   return TraceWorkload(std::move(points), rate_scale);
 }
 

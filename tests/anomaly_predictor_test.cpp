@@ -148,12 +148,14 @@ TEST(AnomalyPredictor, NaiveBayesBackendWorks) {
 
 TEST(AnomalyPredictor, SimpleMarkovBackendWorks) {
   PredictorConfig config;
-  config.order = MarkovOrder::kSimple;
+  config.markov_order = 1;
   AnomalyPredictor p(names(), config);
   const auto trace = leak_trace(9);
   p.train(trace.rows, trace.abnormal);
   p.observe({300.0, 20.0, 5.0});
   EXPECT_NO_THROW(p.predict(TickIndex{6}));
+  config.markov_order = 0;  // no context to predict from
+  EXPECT_THROW(AnomalyPredictor(names(), config), CheckFailure);
 }
 
 TEST(AnomalyPredictor, MismatchedRowSizesThrow) {

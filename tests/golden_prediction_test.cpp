@@ -27,8 +27,6 @@
 #include "common/rng.h"
 #include "core/anomaly_predictor.h"
 #include "models/markov.h"
-#include "models/markov2.h"
-#include "models/markov_n.h"
 #include "models/tan.h"
 
 namespace prepare {
@@ -169,7 +167,7 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
     sequence.push_back(static_cast<std::size_t>(rng.uniform_int(0, 4)));
 
   // Order 1: k-step propagation recomputed from public transition().
-  MarkovChain chain(5, 0.05);
+  MarkovModel chain(1, 5, 0.05);
   chain.train(sequence);
   for (std::size_t steps : {1u, 4u, 9u}) {
     const Distribution fast = chain.predict(TickIndex{steps});
@@ -180,7 +178,7 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
       for (std::size_t i = 0; i < 5; ++i) {
         if (v[i] <= 0.0) continue;
         for (std::size_t j = 0; j < 5; ++j)
-          next[j] += v[i] * chain.transition(BinIndex{i}, BinIndex{j});
+          next[j] += v[i] * chain.transition({i}, BinIndex{j});
       }
       v.swap(next);
     }
@@ -192,7 +190,7 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
   }
 
   // Order 2: pair-state propagation recomputed from transition().
-  TwoDependentMarkov two(4, 0.05);
+  MarkovModel two(2, 4, 0.05);
   std::vector<std::size_t> seq2;
   for (std::size_t i = 0; i < 300; ++i)
     seq2.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
@@ -210,7 +208,7 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
           if (mass <= 0.0) continue;
           for (std::size_t c = 0; c < 4; ++c)
             next[b * 4 + c] +=
-                mass * two.transition(BinIndex{a}, BinIndex{b}, BinIndex{c});
+                mass * two.transition({a, b}, BinIndex{c});
         }
       v.swap(next);
     }
@@ -229,7 +227,7 @@ TEST(Golden, MarkovCachedRowsEqualFirstPrinciples) {
 
 TEST(Golden, NDependentCachedRowsEqualTransition) {
   Rng rng(37);
-  NDependentMarkov m(3, 3, 0.5);
+  MarkovModel m(3, 3, 0.5);
   std::vector<std::size_t> sequence;
   for (std::size_t i = 0; i < 300; ++i)
     sequence.push_back(static_cast<std::size_t>(rng.uniform_int(0, 2)));

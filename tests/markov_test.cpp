@@ -1,30 +1,35 @@
+// MarkovModel tests. Suites are named after the model each order
+// reproduces: MarkovChain (order 1, the simple ALERT chain),
+// TwoDependentMarkov (order 2, the paper's model) and NDependentMarkov
+// (any order).
+#include "models/markov.h"
+
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "models/markov.h"
-#include "models/markov2.h"
 
 namespace prepare {
 namespace {
 
 TEST(MarkovChain, RejectsBadConstruction) {
-  EXPECT_THROW(MarkovChain(1), CheckFailure);
-  EXPECT_THROW(MarkovChain(4, 0.0), CheckFailure);
+  EXPECT_THROW(MarkovModel(1, 1), CheckFailure);
+  EXPECT_THROW(MarkovModel(1, 4, 0.0), CheckFailure);
 }
 
 TEST(MarkovChain, PredictBeforeContextThrows) {
-  MarkovChain m(3);
+  MarkovModel m(1, 3);
   EXPECT_THROW(m.predict(TickIndex{1}), CheckFailure);
   m.observe(BinIndex{0}, true);
   EXPECT_NO_THROW(m.predict(TickIndex{1}));
 }
 
 TEST(MarkovChain, TransitionRowsAreDistributions) {
-  MarkovChain m(4, 0.5);
+  MarkovModel m(1, 4, 0.5);
   Rng rng(3);
   std::vector<std::size_t> seq;
   for (int i = 0; i < 500; ++i)
@@ -32,13 +37,13 @@ TEST(MarkovChain, TransitionRowsAreDistributions) {
   m.train(seq);
   for (std::size_t from = 0; from < 4; ++from) {
     double total = 0.0;
-    for (std::size_t to = 0; to < 4; ++to) total += m.transition(BinIndex{from}, BinIndex{to});
+    for (std::size_t to = 0; to < 4; ++to) total += m.transition({from}, BinIndex{to});
     EXPECT_NEAR(total, 1.0, 1e-9);
   }
 }
 
 TEST(MarkovChain, LearnsDeterministicCycle) {
-  MarkovChain m(3, 0.01);
+  MarkovModel m(1, 3, 0.01);
   std::vector<std::size_t> seq;
   for (int i = 0; i < 300; ++i) seq.push_back(i % 3);
   m.train(seq);
@@ -49,7 +54,7 @@ TEST(MarkovChain, LearnsDeterministicCycle) {
 }
 
 TEST(MarkovChain, MultiStepIsChapmanKolmogorov) {
-  MarkovChain m(3, 0.5);
+  MarkovModel m(1, 3, 0.5);
   Rng rng(4);
   std::vector<std::size_t> seq;
   for (int i = 0; i < 400; ++i)
@@ -60,31 +65,31 @@ TEST(MarkovChain, MultiStepIsChapmanKolmogorov) {
   const auto p2 = m.predict(TickIndex{2});
   for (std::size_t j = 0; j < 3; ++j) {
     double expect = 0.0;
-    for (std::size_t i = 0; i < 3; ++i) expect += p1[i] * m.transition(BinIndex{i}, BinIndex{j});
+    for (std::size_t i = 0; i < 3; ++i) expect += p1[i] * m.transition({i}, BinIndex{j});
     EXPECT_NEAR(p2[j], expect, 1e-9);
   }
 }
 
 TEST(MarkovChain, ObserveWithoutLearnOnlyMovesContext) {
-  MarkovChain learner(3, 0.01);
+  MarkovModel learner(1, 3, 0.01);
   std::vector<std::size_t> seq;
   for (int i = 0; i < 300; ++i) seq.push_back(i % 3);
   learner.train(seq);
-  const double before = learner.transition(BinIndex{0}, BinIndex{1});
+  const double before = learner.transition({0}, BinIndex{1});
   learner.observe(BinIndex{0}, /*learn=*/false);
   learner.observe(BinIndex{0}, /*learn=*/false);  // a 0->0 transition, not learned
-  EXPECT_DOUBLE_EQ(learner.transition(BinIndex{0}, BinIndex{1}), before);
+  EXPECT_DOUBLE_EQ(learner.transition({0}, BinIndex{1}), before);
   learner.observe(BinIndex{0}, /*learn=*/true);   // now learned
-  EXPECT_NE(learner.transition(BinIndex{0}, BinIndex{0}), 0.0);
+  EXPECT_NE(learner.transition({0}, BinIndex{0}), 0.0);
 }
 
 TEST(TwoDependentMarkov, RejectsBadConstruction) {
-  EXPECT_THROW(TwoDependentMarkov(1), CheckFailure);
-  EXPECT_THROW(TwoDependentMarkov(4, -1.0), CheckFailure);
+  EXPECT_THROW(MarkovModel(2, 1), CheckFailure);
+  EXPECT_THROW(MarkovModel(2, 4, -1.0), CheckFailure);
 }
 
 TEST(TwoDependentMarkov, NeedsTwoObservations) {
-  TwoDependentMarkov m(3);
+  MarkovModel m(2, 3);
   EXPECT_FALSE(m.ready());
   m.observe(BinIndex{0}, true);
   EXPECT_FALSE(m.ready());
@@ -95,7 +100,7 @@ TEST(TwoDependentMarkov, NeedsTwoObservations) {
 }
 
 TEST(TwoDependentMarkov, TransitionRowsAreDistributions) {
-  TwoDependentMarkov m(3, 0.5);
+  MarkovModel m(2, 3, 0.5);
   Rng rng(5);
   std::vector<std::size_t> seq;
   for (int i = 0; i < 600; ++i)
@@ -104,14 +109,14 @@ TEST(TwoDependentMarkov, TransitionRowsAreDistributions) {
   for (std::size_t a = 0; a < 3; ++a) {
     for (std::size_t b = 0; b < 3; ++b) {
       double total = 0.0;
-      for (std::size_t c = 0; c < 3; ++c) total += m.transition(BinIndex{a}, BinIndex{b}, BinIndex{c});
+      for (std::size_t c = 0; c < 3; ++c) total += m.transition({a, b}, BinIndex{c});
       EXPECT_NEAR(total, 1.0, 1e-9);
     }
   }
 }
 
 TEST(TwoDependentMarkov, PredictionSumsToOne) {
-  TwoDependentMarkov m(4, 0.5);
+  MarkovModel m(2, 4, 0.5);
   Rng rng(6);
   std::vector<std::size_t> seq;
   for (int i = 0; i < 600; ++i)
@@ -136,9 +141,9 @@ std::vector<std::size_t> triangle_sequence(std::size_t period_up,
 
 TEST(TwoDependentMarkov, TracksTriangleWaveSlope) {
   const auto seq = triangle_sequence(5, 60);  // 0..4..1 repeating
-  TwoDependentMarkov two(5, 0.05);
+  MarkovModel two(2, 5, 0.05);
   two.train(seq);
-  MarkovChain one(5, 0.05);
+  MarkovModel one(1, 5, 0.05);
   one.train(seq);
   // The sequence ends ... 3 2 1 (descending at 1): next is 0.
   EXPECT_EQ(two.predict(TickIndex{1}).mode(), 0u);
@@ -154,8 +159,8 @@ TEST(TwoDependentMarkov, OutperformsSimpleOnRampForecast) {
   std::vector<std::size_t> seq;
   for (int r = 0; r < 50; ++r)
     for (std::size_t v = 0; v < 8; ++v) seq.push_back(v);
-  TwoDependentMarkov two(8, 0.05);
-  MarkovChain one(8, 0.05);
+  MarkovModel two(2, 8, 0.05);
+  MarkovModel one(1, 8, 0.05);
   // Train on all but the tail, then predict from mid-ramp.
   std::vector<std::size_t> train(seq.begin(), seq.end() - 5);
   two.train(train);
@@ -168,7 +173,7 @@ TEST(TwoDependentMarkov, OutperformsSimpleOnRampForecast) {
 }
 
 TEST(TwoDependentMarkov, SymbolOutOfRangeThrows) {
-  TwoDependentMarkov m(3);
+  MarkovModel m(2, 3);
   EXPECT_THROW(m.observe(BinIndex{3}, true), CheckFailure);
 }
 
@@ -180,8 +185,8 @@ TEST_P(MarkovHorizonSweep, ValidDistributionAtAnyHorizon) {
   std::vector<std::size_t> seq;
   for (int i = 0; i < 300; ++i)
     seq.push_back(static_cast<std::size_t>(rng.uniform_int(0, 4)));
-  MarkovChain one(5);
-  TwoDependentMarkov two(5);
+  MarkovModel one(1, 5);
+  MarkovModel two(2, 5);
   one.train(seq);
   two.train(seq);
   for (const auto& p : {one.predict(TickIndex{GetParam()}), two.predict(TickIndex{GetParam()})}) {
@@ -195,6 +200,92 @@ TEST_P(MarkovHorizonSweep, ValidDistributionAtAnyHorizon) {
 
 INSTANTIATE_TEST_SUITE_P(Horizons, MarkovHorizonSweep,
                          ::testing::Values(1, 2, 3, 6, 9, 24, 100));
+
+std::vector<std::size_t> random_sequence(std::size_t n, std::size_t k,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> seq;
+  for (std::size_t i = 0; i < n; ++i)
+    seq.push_back(static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(k) - 1)));
+  return seq;
+}
+
+TEST(NDependentMarkov, RejectsBadConstruction) {
+  EXPECT_THROW(MarkovModel(0, 3), CheckFailure);
+  EXPECT_THROW(MarkovModel(1, 1), CheckFailure);
+  EXPECT_THROW(MarkovModel(2, 3, 0.0), CheckFailure);
+  EXPECT_THROW(MarkovModel(20, 10), CheckFailure);  // 10^20 states
+}
+
+TEST(NDependentMarkov, TransitionRowsAreDistributions) {
+  MarkovModel m(3, 3, 0.5);
+  m.train(random_sequence(800, 3, 3));
+  std::vector<std::size_t> ctx(3);
+  for (ctx[0] = 0; ctx[0] < 3; ++ctx[0])
+    for (ctx[1] = 0; ctx[1] < 3; ++ctx[1])
+      for (ctx[2] = 0; ctx[2] < 3; ++ctx[2]) {
+        double total = 0.0;
+        for (std::size_t n = 0; n < 3; ++n) total += m.transition(ctx, BinIndex{n});
+        EXPECT_NEAR(total, 1.0, 1e-9);
+      }
+}
+
+TEST(NDependentMarkov, ReadyNeedsOrderObservations) {
+  MarkovModel m(3, 4);
+  m.observe(BinIndex{0}, true);
+  m.observe(BinIndex{1}, true);
+  EXPECT_FALSE(m.ready());
+  EXPECT_THROW(m.predict(TickIndex{1}), CheckFailure);
+  m.observe(BinIndex{2}, true);
+  EXPECT_TRUE(m.ready());
+  EXPECT_NO_THROW(m.predict(TickIndex{2}));
+}
+
+TEST(NDependentMarkov, Order3DisambiguatesWhereOrder2CanNot) {
+  // Period-6 wave 0 1 1 2 1 1 | ... : the order-2 context (1, 1) is
+  // followed by 2 half the time (after 0 1 1) and by 0 the other half
+  // (after 2 1 1); the order-3 context resolves the ambiguity.
+  std::vector<std::size_t> seq;
+  for (int r = 0; r < 100; ++r)
+    for (std::size_t v : {0u, 1u, 1u, 2u, 1u, 1u}) seq.push_back(v);
+  MarkovModel three(3, 3, 0.05);
+  MarkovModel two(2, 3, 0.05);
+  three.train(seq);
+  two.train(seq);
+  // Sequence ends ... 2 1 1: next must be 0.
+  EXPECT_GT(three.predict(TickIndex{1})[0], 0.95);
+  EXPECT_LT(two.predict(TickIndex{1})[0], 0.65);  // order-2 is torn between 0 and 2
+}
+
+TEST(NDependentMarkov, PredictionsAreValidDistributions) {
+  MarkovModel m(3, 4, 0.2);
+  m.train(random_sequence(500, 4, 5));
+  for (std::size_t steps : {1u, 4u, 24u}) {
+    const auto d = m.predict(TickIndex{steps});
+    EXPECT_NEAR(d.sum(), 1.0, 1e-9);
+    for (std::size_t i = 0; i < d.size(); ++i) EXPECT_GE(d[i], 0.0);
+  }
+}
+
+// Order sweep: every order learns the deterministic cycle it can encode.
+class MarkovOrderSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MarkovOrderSweep, LearnsCycle) {
+  const std::size_t order = GetParam();
+  std::vector<std::size_t> seq;
+  for (int r = 0; r < 200; ++r)
+    for (std::size_t v = 0; v < 4; ++v) seq.push_back(v);
+  MarkovModel m(order, 4, 0.05);
+  m.train(seq);
+  // Sequence ends at 3; one step ahead is 0, two ahead 1, ...
+  EXPECT_EQ(m.predict(TickIndex{1}).mode(), 0u);
+  EXPECT_EQ(m.predict(TickIndex{2}).mode(), 1u);
+  EXPECT_EQ(m.predict(TickIndex{6}).mode(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, MarkovOrderSweep,
+                         ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace prepare

@@ -17,8 +17,6 @@
 #include "core/experiment.h"
 #include "models/discretizer.h"
 #include "models/markov.h"
-#include "models/markov2.h"
-#include "models/markov_n.h"
 #include "models/naive_bayes.h"
 #include "models/tan.h"
 #include "obs/metrics.h"
@@ -156,7 +154,7 @@ TEST(ModelIntrospect, UnresolvedTailIsDiscarded) {
 TEST(ModelIntrospect, MarkovRowEntropyOnKnownMatrix) {
   // Alternating 0,1,0,1,... over a 3-symbol alphabet: rows 0 and 1 are
   // occupied with near-deterministic transitions, row 2 never occurs.
-  MarkovChain chain(3);
+  MarkovModel chain(1, 3);
   std::vector<std::size_t> seq;
   for (std::size_t i = 0; i < 100; ++i) seq.push_back(i % 2);
   chain.train(seq);
@@ -171,7 +169,7 @@ TEST(ModelIntrospect, MarkovRowEntropyOnKnownMatrix) {
     double h = 0.0;
     for (std::size_t to = 0; to < 3; ++to) {
       const double p =
-          chain.transition(BinIndex{from}, BinIndex{to}).value();
+          chain.transition({from}, BinIndex{to}).value();
       h -= p * std::log(p);
     }
     expected_sum += h;
@@ -183,7 +181,7 @@ TEST(ModelIntrospect, MarkovRowEntropyOnKnownMatrix) {
   EXPECT_LT(stats.entropy_max, 0.5 * std::log(3.0));
 
   // A uniformly random sequence pushes every row toward log(3).
-  MarkovChain uniform(3);
+  MarkovModel uniform(1, 3);
   uniform.train(random_sequence(5000, 3, 42));
   const auto ustats = uniform.row_stats();
   EXPECT_EQ(ustats.occupied_rows, 3u);
@@ -214,8 +212,8 @@ TEST(ModelIntrospect, ProbeGaugesPublish) {
 
 // ---- path prediction bit-identity ----
 
-template <typename Model>
-void expect_path_matches_stepwise(Model& model, std::size_t alphabet) {
+void expect_path_matches_stepwise(const MarkovModel& model,
+                                  std::size_t alphabet) {
   constexpr std::size_t kSteps = 12;
   std::vector<Distribution> path;
   model.predict_path_into(TickIndex{kSteps}, &path);
@@ -230,15 +228,15 @@ void expect_path_matches_stepwise(Model& model, std::size_t alphabet) {
 
 TEST(ModelIntrospect, PredictPathBitIdenticalToPredictInto) {
   const auto seq = random_sequence(600, 4, 7);
-  MarkovChain simple(4);
+  MarkovModel simple(1, 4);
   simple.train(seq);
   expect_path_matches_stepwise(simple, 4);
 
-  TwoDependentMarkov two(4);
+  MarkovModel two(2, 4);
   two.train(seq);
   expect_path_matches_stepwise(two, 4);
 
-  NDependentMarkov general(3, 4);
+  MarkovModel general(3, 4);
   general.train(seq);
   expect_path_matches_stepwise(general, 4);
 }

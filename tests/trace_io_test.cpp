@@ -1,6 +1,9 @@
 #include "monitor/trace_io.h"
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +96,60 @@ TEST_F(TraceIoTest, WrongSchemaThrows) {
     w.row(std::vector<std::string>{"0", "x"});
   }
   EXPECT_THROW(load_metric_store_csv(metrics_path_), CheckFailure);
+}
+
+// Writes a metric-store CSV whose second data row carries `cpu` in the
+// first attribute column, and returns the load error message.
+std::string metric_store_load_error(const std::string& path,
+                                    const std::string& cpu) {
+  std::vector<std::string> header = {"time_s", "vm"};
+  for (std::size_t a = 0; a < kAttributeCount; ++a)
+    header.push_back(attribute_name(static_cast<Attribute>(a)));
+  {
+    CsvWriter w(path, header);
+    std::vector<std::string> row = {"0", "vm1"};
+    row.resize(header.size(), "1");
+    w.row(row);
+    row[0] = "5";
+    row[2] = cpu;
+    w.row(row);
+  }
+  try {
+    load_metric_store_csv(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(TraceIoTest, NonNumericMetricFieldNamesFileLineAndColumn) {
+  const std::string cpu = attribute_name(static_cast<Attribute>(0));
+  for (const char* bad :
+       {"garbage", "12abc", "", "  ", "nan", "inf", "-inf", "1e999"}) {
+    const std::string error = metric_store_load_error(metrics_path_, bad);
+    EXPECT_NE(error.find(metrics_path_ + ":3:"), std::string::npos)
+        << "field '" << bad << "': " << error;
+    EXPECT_NE(error.find("'" + cpu + "'"), std::string::npos) << error;
+  }
+  // Well-formed numbers, blanks around them included, still load.
+  EXPECT_EQ(metric_store_load_error(metrics_path_, " 2.5e3 "), "");
+}
+
+TEST_F(TraceIoTest, NonFiniteSloFieldNamesFileLineAndColumn) {
+  for (const char* bad : {"oops", "nan", "inf"}) {
+    {
+      CsvWriter w(slo_path_, {"time_s", "dt_s", "violated", "slo_metric"});
+      w.row(std::vector<std::string>{"0", "1", "0", bad});
+    }
+    try {
+      load_slo_log_csv(slo_path_);
+      ADD_FAILURE() << "field '" << bad << "' was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string error = e.what();
+      EXPECT_NE(error.find(slo_path_ + ":2:"), std::string::npos) << error;
+      EXPECT_NE(error.find("'slo_metric'"), std::string::npos) << error;
+    }
+  }
 }
 
 TEST(CsvReader, ParsesWriterOutput) {

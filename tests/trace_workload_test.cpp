@@ -1,6 +1,9 @@
 #include "workload/trace_workload.h"
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +65,27 @@ TEST(TraceWorkload, LoadsFromCsv) {
   EXPECT_EQ(w.size(), 3u);
   EXPECT_DOUBLE_EQ(w.span(), 120.0);
   EXPECT_DOUBLE_EQ(w.rate(30.0), 300.0);  // 150 * scale 2
+  std::remove(path.c_str());
+}
+
+TEST(TraceWorkload, NonFiniteCsvFieldNamesFileLineAndColumn) {
+  const std::string path =
+      test_util::unique_temp_path("trace_workload_bad.csv");
+  for (const char* bad : {"fast", "nan", "inf"}) {
+    {
+      CsvWriter csv(path, {"time_s", "rate"});
+      csv.row(std::vector<std::string>{"0", "100"});
+      csv.row(std::vector<std::string>{"60", bad});
+    }
+    try {
+      TraceWorkload::from_csv(path);
+      ADD_FAILURE() << "rate '" << bad << "' was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string error = e.what();
+      EXPECT_NE(error.find(path + ":3:"), std::string::npos) << error;
+      EXPECT_NE(error.find("'rate'"), std::string::npos) << error;
+    }
+  }
   std::remove(path.c_str());
 }
 

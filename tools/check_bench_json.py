@@ -31,9 +31,12 @@ actually profiled, not silently skipped.
 against the committed baseline report of the same file name in
 BASELINE_DIR (bench_results/ in the repo) and fails when the fresh rate
 regresses by more than --max-regress (default 0.30, i.e. >30% slower
-than the baseline). A missing baseline for a checked file is a
-violation — commit one with PREPARE_BENCH_OUT_DIR. Faster-than-baseline
-runs always pass; the gate only guards against slowdowns.
+than the baseline). The two reports must describe the same run: a fresh
+`config` object that differs from the baseline's is a violation, since
+rates of unlike configs say nothing about a regression. A missing
+baseline for a checked file is a violation — commit one with
+PREPARE_BENCH_OUT_DIR. Faster-than-baseline runs always pass; the gate
+only guards against slowdowns.
 
 Exits 0 when every file is valid, 1 with one "FILE: message" per
 violation. Missing files are violations (loud-fail, same contract as
@@ -148,6 +151,10 @@ def compare_to_baseline(path: Path, baseline_dir: Path,
         baseline = json.loads(baseline_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         return [f"{path}: unreadable during compare: {exc}"]
+    if fresh.get("config") != baseline.get("config"):
+        return [f"{path}: config {fresh.get('config')!r} differs from "
+                f"baseline {baseline_path} config "
+                f"{baseline.get('config')!r}; compare like with like"]
     fresh_rate = fresh.get("rate_vm_ticks_per_sec")
     base_rate = baseline.get("rate_vm_ticks_per_sec")
     if not _is_num(fresh_rate) or not _is_num(base_rate) or base_rate <= 0:
