@@ -61,15 +61,17 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
     }
   }
 
-  // Train the per-feature value predictors on the discretized sequences.
-  // Alphabets are per-feature: quantile discretization merges ties.
-  predictors_.clear();
-  predictors_.reserve(n);
+  // Train the value predictor, one lane per feature, on the discretized
+  // sequences. Alphabets are per-feature: quantile discretization merges
+  // ties.
+  std::vector<std::size_t> alphabets(n);
+  std::vector<std::vector<std::size_t>> sequences(n);
   for (std::size_t i = 0; i < n; ++i) {
-    predictors_.emplace_back(config_.markov_order, discretizers_[i].bins(),
-                             config_.markov_alpha);
-    predictors_.back().train(discretizers_[i].discretize(columns[i]));
+    alphabets[i] = discretizers_[i].bins();
+    sequences[i] = discretizers_[i].discretize(columns[i]);
   }
+  markov_.emplace(config_.markov_order, alphabets, config_.markov_alpha);
+  markov_->train(sequences);
 
   // Train the classifier on discretized rows + labels.
   LabeledDataset data;
@@ -167,8 +169,8 @@ void AnomalyPredictor::set_introspect(obs::ModelIntrospect* introspect) {
 
 void AnomalyPredictor::report_model_state() const {
   if (introspect_ == nullptr || !trained_) return;
-  for (std::size_t i = 0; i < predictors_.size(); ++i) {
-    const MarkovModel::RowStats stats = predictors_[i].row_stats();
+  for (std::size_t i = 0; i < markov_->lanes(); ++i) {
+    const MarkovModel::RowStats stats = markov_->row_stats(i);
     const double occupied = static_cast<double>(stats.occupied_rows);
     introspect_->probe_markov(
         i,
@@ -186,10 +188,9 @@ void AnomalyPredictor::observe(const std::vector<double>& row) {
   obs::ScopedTimer timer(stage_discretize_);
   last_row_.resize(row.size());
   if (capture_evidence_) last_raw_row_ = row;
-  for (std::size_t i = 0; i < row.size(); ++i) {
+  for (std::size_t i = 0; i < row.size(); ++i)
     last_row_[i] = discretizers_[i].discretize(row[i]);
-    predictors_[i].observe(BinIndex{last_row_[i]}, config_.online_learning);
-  }
+  markov_->observe(last_row_, config_.online_learning);
   if (introspect_ != nullptr) {
     // observe() runs in the controller's serial per-VM loop (driver
     // thread), so feeding the driver-confined introspector here is safe.
@@ -200,10 +201,7 @@ void AnomalyPredictor::observe(const std::vector<double>& row) {
 }
 
 bool AnomalyPredictor::ready() const {
-  if (!trained_ || !has_observation_) return false;
-  for (const auto& p : predictors_)
-    if (!p.ready()) return false;
-  return true;
+  return trained_ && has_observation_ && markov_->ready();
 }
 
 AnomalyPredictor::Result AnomalyPredictor::predict(TickIndex steps) const {
@@ -236,8 +234,7 @@ void AnomalyPredictor::predict_into(TickIndex steps, bool with_horizon,
   auto& dists = scratch_dists_;
   {
     obs::ScopedTimer timer(stage_lookahead_);
-    for (std::size_t i = 0; i < predictors_.size(); ++i)
-      predictors_[i].predict_into(steps, &dists[i]);
+    markov_->predict_into(steps, dists);
   }
 
   obs::ScopedTimer classify_timer(stage_classify_);
@@ -264,8 +261,7 @@ void AnomalyPredictor::predict_with_horizon_into(TickIndex steps,
   auto& paths = scratch_paths_;
   {
     obs::ScopedTimer timer(stage_lookahead_);
-    for (std::size_t i = 0; i < predictors_.size(); ++i)
-      predictors_[i].predict_path_into(steps, &paths[i]);
+    markov_->predict_path_into(steps, paths);
   }
 
   const std::size_t k = steps.value();

@@ -3,14 +3,15 @@
 //
 // One instance models one *component* (normally one VM with its 13
 // attributes; the "monolithic" baseline of Fig. 10 feeds the concatenated
-// attributes of every VM into a single instance). For each feature the
-// predictor maintains a Markov value predictor over discretized values;
+// attributes of every VM into a single instance). The predictor keeps one
+// Markov value predictor over discretized values with a lane per feature;
 // prediction at a look-ahead of k sampling intervals pushes each feature
 // k steps forward and classifies the resulting joint (independent)
 // distribution with the TAN (or naive Bayes) classifier.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -196,7 +197,7 @@ class AnomalyPredictor {
   /// driver-thread-confined.
   void set_introspect(obs::ModelIntrospect* introspect);
 
-  /// Sweeps every value predictor's transition rows and the
+  /// Sweeps every Markov lane's transition rows and the
   /// classifier's CPTs into the attached introspector's probe
   /// accumulators. Driver thread only, between begin_probe() and
   /// end_probe(); no-op when nothing is attached or not yet trained.
@@ -220,7 +221,8 @@ class AnomalyPredictor {
   bool trained_ = false;
 
   std::vector<Discretizer> discretizers_;
-  std::vector<MarkovModel> predictors_;
+  /// One lane per feature; empty until train().
+  std::optional<MarkovModel> markov_;
   std::unique_ptr<Classifier> classifier_;
   std::vector<std::size_t> last_row_;
   /// Raw values of the latest observe() row; only maintained when
@@ -248,7 +250,7 @@ class AnomalyPredictor {
   // state allocates nothing. Safe despite `mutable`: a predictor is
   // confined to its VM's worker thread (the parallel driver shards by
   // VM), matching the thread-safety story of the scratch buffers inside
-  // the Markov models themselves.
+  // the Markov model itself.
   mutable std::vector<Distribution> scratch_dists_;
   mutable std::vector<std::size_t> scratch_row_;
   /// Step-major per-step marginal modes (scratch_modes_[s * nf + i] is

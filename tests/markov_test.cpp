@@ -1,11 +1,15 @@
 // MarkovModel tests. Suites are named after the model each order
 // reproduces: MarkovChain (order 1, the simple ALERT chain),
 // TwoDependentMarkov (order 2, the paper's model) and NDependentMarkov
-// (any order).
+// (any order). MarkovLanes checks that every lane of a multi-lane model
+// is bit-identical to a one-lane model fed the same symbols.
 #include "models/markov.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -286,6 +290,128 @@ TEST_P(MarkovOrderSweep, LearnsCycle) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, MarkovOrderSweep,
                          ::testing::Values(1, 2, 3, 4));
+
+TEST(MarkovLanes, RejectsBadLanes) {
+  EXPECT_THROW(MarkovModel(2, std::vector<std::size_t>{}, 0.5), CheckFailure);
+  EXPECT_THROW(MarkovModel(2, std::vector<std::size_t>{3, 1}, 0.5),
+               CheckFailure);
+  MarkovModel m(2, std::vector<std::size_t>{3, 4}, 0.5);
+  EXPECT_EQ(m.lanes(), 2u);
+  EXPECT_THROW(m.train({{0, 1, 2}, {0, 1}}), CheckFailure);
+  m.train({{0, 1, 2}, {0, 1, 3}});
+  // One-lane calls on a two-lane model, and out-of-alphabet symbols.
+  EXPECT_THROW(m.observe(BinIndex{0}, true), CheckFailure);
+  EXPECT_THROW(m.predict(TickIndex{1}), CheckFailure);
+  EXPECT_THROW(m.row_stats(), CheckFailure);
+  EXPECT_THROW(m.row_stats(2), CheckFailure);
+  const std::vector<std::size_t> bad{3, 0};
+  EXPECT_THROW(m.observe(bad, true), CheckFailure);
+  std::vector<Distribution> one(1);
+  EXPECT_THROW(m.predict_into(TickIndex{1}, one), CheckFailure);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_bits(const Distribution& lane, const Distribution& alone,
+                      const char* what, std::size_t l) {
+  ASSERT_EQ(lane.size(), alone.size()) << what << " lane " << l;
+  for (std::size_t j = 0; j < lane.size(); ++j)
+    EXPECT_EQ(bits(lane[j]), bits(alone[j]))
+        << what << " lane " << l << " bin " << j;
+}
+
+/// (order, lane count). Lane l's alphabet cycles through 2..8, so one
+/// lane group mixes alphabets and smaller ones are embedded in larger.
+class MarkovLaneEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(MarkovLaneEquivalence, EveryLaneMatchesOneLaneModel) {
+  const auto [order, lanes] = GetParam();
+  std::vector<std::size_t> alphabets(lanes);
+  for (std::size_t l = 0; l < lanes; ++l)
+    alphabets[l] = 2 + (l * 5 + order) % 7;
+
+  // Per-lane seeded random walks (sparse rows, so some lanes of a group
+  // carry no mass at a source while others do): 200 symbols train, the
+  // rest stream through observe() with learning switched on and off at
+  // random.
+  Rng rng(1000 + 10 * order + lanes);
+  constexpr std::size_t kTrain = 200, kTotal = 260;
+  std::vector<std::vector<std::size_t>> walks(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    std::int64_t s = rng.uniform_int(0, alphabets[l] - 1);
+    for (std::size_t i = 0; i < kTotal; ++i) {
+      s = std::clamp<std::int64_t>(s + rng.uniform_int(-1, 1), 0,
+                                   static_cast<std::int64_t>(alphabets[l]) - 1);
+      walks[l].push_back(static_cast<std::size_t>(s));
+    }
+  }
+
+  MarkovModel grouped(order, alphabets, 0.05);
+  std::vector<MarkovModel> alone;
+  std::vector<std::vector<std::size_t>> train(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    train[l].assign(walks[l].begin(), walks[l].begin() + kTrain);
+    alone.emplace_back(order, alphabets[l], 0.05);
+    alone[l].train(train[l]);
+  }
+  grouped.train(train);
+  std::vector<std::size_t> row(lanes);
+  for (std::size_t i = kTrain; i < kTotal; ++i) {
+    const bool learn = rng.uniform_int(0, 2) != 0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      row[l] = walks[l][i];
+      alone[l].observe(BinIndex{row[l]}, learn);
+    }
+    grouped.observe(row, learn);
+  }
+
+  std::vector<Distribution> got(lanes);
+  Distribution want;
+  for (std::size_t steps : {1u, 2u, 5u, 24u}) {
+    grouped.predict_into(TickIndex{steps}, got);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      alone[l].predict_into(TickIndex{steps}, &want);
+      expect_same_bits(got[l], want, "predict_into", l);
+    }
+  }
+
+  std::vector<std::vector<Distribution>> paths(lanes);
+  grouped.predict_path_into(TickIndex{24}, paths);
+  std::vector<Distribution> want_path;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    alone[l].predict_path_into(TickIndex{24}, &want_path);
+    ASSERT_EQ(paths[l].size(), want_path.size());
+    for (std::size_t s = 0; s < want_path.size(); ++s)
+      expect_same_bits(paths[l][s], want_path[s], "path", l);
+  }
+
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const MarkovModel::RowStats a = grouped.row_stats(l);
+    const MarkovModel::RowStats b = alone[l].row_stats();
+    EXPECT_EQ(a.rows, b.rows) << "lane " << l;
+    EXPECT_EQ(a.occupied_rows, b.occupied_rows) << "lane " << l;
+    EXPECT_EQ(bits(a.entropy_sum), bits(b.entropy_sum)) << "lane " << l;
+    EXPECT_EQ(bits(a.entropy_max), bits(b.entropy_max)) << "lane " << l;
+    EXPECT_EQ(bits(a.count_total), bits(b.count_total)) << "lane " << l;
+
+    // Every transition cell, contexts enumerated oldest symbol first.
+    std::vector<std::size_t> ctx(order, 0);
+    for (std::size_t c = 0; c < b.rows; ++c) {
+      for (std::size_t i = order, rest = c; i-- > 0; rest /= alphabets[l])
+        ctx[i] = rest % alphabets[l];
+      for (std::size_t next = 0; next < alphabets[l]; ++next)
+        ASSERT_EQ(bits(grouped.transition(l, ctx, BinIndex{next}).value()),
+                  bits(alone[l].transition(ctx, BinIndex{next}).value()))
+            << "lane " << l << " context " << c << " next " << next;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MarkovLaneEquivalence,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(1, 3, 4, 5, 13)));
 
 }  // namespace
 }  // namespace prepare
