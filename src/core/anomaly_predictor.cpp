@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "models/naive_bayes.h"
 #include "models/outlier.h"
 #include "models/tan.h"
 
@@ -87,8 +86,8 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
   data.abnormal.assign(abnormal.begin(), abnormal.end());
   switch (config_.classifier) {
     case ClassifierKind::kNaiveBayes:
-      classifier_ =
-          std::make_unique<NaiveBayesClassifier>(config_.classifier_alpha);
+      classifier_ = std::make_unique<TanClassifier>(
+          config_.classifier_alpha, TanClassifier::Structure::kNaiveBayes);
       break;
     case ClassifierKind::kOutlier:
       classifier_ = std::make_unique<OutlierClassifier>(

@@ -82,6 +82,65 @@ std::vector<double> AnomalyManager::latest_row(
   return to_row(samples.back());
 }
 
+std::vector<std::string> AnomalyManager::train_predictors(
+    PredictorMap* predictors, double t0, double t1) const {
+  std::vector<std::vector<double>> rows;
+  std::vector<bool> abnormal;
+  std::vector<std::string> trained;
+  for (auto& [vm, predictor] : *predictors) {
+    labeled_rows(vm, t0, t1, &rows, &abnormal);
+    if (rows.empty()) continue;
+    predictor.train(rows, abnormal);
+    trained.push_back(vm);
+  }
+  return trained;
+}
+
+void AnomalyManager::observe_round(double now, bool trained,
+                                   CauseInference* inference,
+                                   obs::Histogram* stage,
+                                   PredictorMap* predictors) const {
+  for (const auto& vm : vm_names()) {
+    const auto samples = ctx_.store->last_samples(vm, 1);
+    if (samples.empty()) continue;
+    {
+      obs::ScopedTimer timer(stage);
+      inference->observe(vm, now, samples.back());
+    }
+    if (!trained) continue;
+    auto it = predictors->find(vm);
+    if (it != predictors->end() && it->second.trained())
+      it->second.observe(to_row(samples.back()));
+  }
+}
+
+std::map<std::string, Classification> AnomalyManager::diagnose_violation(
+    double now, const PredictorMap& predictors,
+    const PreventionActuator& actuator, double min_top_impact,
+    std::set<std::string>* unhealthy) const {
+  std::map<std::string, Classification> diagnosed;
+  Classification best;
+  std::string best_vm;
+  for (const auto& [vm, predictor] : predictors) {
+    if (!predictor.trained()) continue;
+    const auto cls = predictor.classify_current();
+    if (cls.abnormal) unhealthy->insert(vm);
+    if (cls.abnormal && top_impact(cls) >= min_top_impact) {
+      diagnosed.emplace(vm, cls);
+    } else if (!actuator.validation_open(vm) &&
+               (best_vm.empty() || cls.score > best.score)) {
+      best = cls;
+      best_vm = vm;
+    }
+  }
+  if (diagnosed.empty() && !best_vm.empty()) diagnosed.emplace(best_vm, best);
+  for (const auto& [vm, cls] : diagnosed) {
+    unhealthy->insert(vm);
+    if (ctx_.tracer != nullptr) ctx_.tracer->reactive_alert(vm, now);
+  }
+  return diagnosed;
+}
+
 // ---------------------------------------------------------------- PREPARE
 
 PrepareController::PrepareController(ControllerContext ctx,
@@ -136,14 +195,10 @@ PrepareController::PrepareController(ControllerContext ctx,
 }
 
 void PrepareController::train(double t0, double t1) {
-  std::vector<std::vector<double>> rows;
-  std::vector<bool> abnormal;
-  std::size_t trained_models = 0, discriminative_models = 0;
-  for (auto& [vm, predictor] : predictors_) {
-    labeled_rows(vm, t0, t1, &rows, &abnormal);
-    if (rows.empty()) continue;
-    predictor.train(rows, abnormal);
-    ++trained_models;
+  const auto trained_vms = train_predictors(&predictors_, t0, t1);
+  std::size_t discriminative_models = 0;
+  for (const auto& vm : trained_vms) {
+    AnomalyPredictor& predictor = predictors_.at(vm);
     // Register the VM's evidence geometry with the flight recorder: the
     // flattened-distribution layout depends on the trained discretizer
     // alphabets (quantile binning merges ties), so this must happen
@@ -172,7 +227,7 @@ void PrepareController::train(double t0, double t1) {
     }
   }
   trained_ = true;
-  PREPARE_INFO("prepare") << "trained " << trained_models
+  PREPARE_INFO("prepare") << "trained " << trained_vms.size()
                           << " per-VM models over [" << t0 << ", " << t1
                           << "], " << discriminative_models
                           << " discriminative";
@@ -183,19 +238,8 @@ void PrepareController::train(double t0, double t1) {
 void PrepareController::on_sample(double now) {
   // 1. Feed the newest samples into the predictors' Markov contexts and
   //    the workload-change detectors.
-  for (const auto& vm : vm_names()) {
-    const auto samples = ctx_.store->last_samples(vm, 1);
-    if (samples.empty()) continue;
-    {
-      obs::ScopedTimer timer(stage_cause_inference_);
-      inference_.observe(vm, now, samples.back());
-    }
-    if (trained_) {
-      auto it = predictors_.find(vm);
-      if (it != predictors_.end() && it->second.trained())
-        it->second.observe(to_row(samples.back()));
-    }
-  }
+  observe_round(now, trained_, &inference_, stage_cause_inference_,
+                &predictors_);
   if (!trained_) return;
 
   // Episode bookkeeping: SLO edge detection (lead times / misses) and
@@ -332,45 +376,16 @@ void PrepareController::on_sample(double now) {
 
   // 3. Reactive fallback: the SLO is already violated — diagnose from
   //    the current samples too, in case prediction missed (or confirmed
-  //    only a bystander VM). The diagnosis covers every VM classifying
-  //    abnormal with real attribution evidence; if none qualifies, the
-  //    single most suspicious VM is acted on (the paper always
-  //    intervenes once a violation is detected).
+  //    only a bystander VM).
   std::map<std::string, Classification> reactive;
   if (ctx_.slo->currently_violated()) {
     ++reactive_fallbacks_;
     obs::inc(reactive_fallbacks_counter_);
     PREPARE_INFO("prepare") << "SLO violated at t=" << now
                             << ": entering reactive fallback diagnosis";
-    Classification best;
-    std::string best_vm;
-    for (auto& [vm, predictor] : predictors_) {
-      if (!predictor.trained()) continue;
-      const auto cls = predictor.classify_current();
-      if (cls.abnormal && top_impact(cls) >= config_.alert_min_top_impact) {
-        reactive.emplace(vm, cls);
-        unhealthy.insert(vm);
-      }
-      if (actuator_.validation_open(vm)) continue;
-      if (best_vm.empty() || cls.score > best.score) {
-        best = cls;
-        best_vm = vm;
-      }
-    }
-    if (reactive.empty() && !best_vm.empty()) {
-      reactive.emplace(best_vm, best);
-      unhealthy.insert(best_vm);
-    }
-    if (ctx_.tracer != nullptr)
-      for (const auto& [vm, cls] : reactive)
-        ctx_.tracer->reactive_alert(vm, now);
+    reactive = diagnose_violation(now, predictors_, actuator_,
+                                  config_.alert_min_top_impact, &unhealthy);
   }
-
-  // A violated SLO also keeps the acted VMs "unhealthy" for validation.
-  if (ctx_.slo->currently_violated())
-    for (auto& [vm, predictor] : predictors_)
-      if (predictor.trained() && predictor.classify_current().abnormal)
-        unhealthy.insert(vm);
 
   // 4. Validation of earlier preventions.
   {
@@ -447,32 +462,13 @@ ReactiveController::ReactiveController(ControllerContext ctx,
 }
 
 void ReactiveController::train(double t0, double t1) {
-  std::vector<std::vector<double>> rows;
-  std::vector<bool> abnormal;
-  for (auto& [vm, predictor] : predictors_) {
-    labeled_rows(vm, t0, t1, &rows, &abnormal);
-    if (rows.empty()) continue;
-    predictor.train(rows, abnormal);
-  }
+  train_predictors(&predictors_, t0, t1);
   trained_ = true;
 }
 
 void ReactiveController::on_sample(double now) {
-  for (const auto& vm : vm_names()) {
-    const auto samples = ctx_.store->last_samples(vm, 1);
-    if (samples.empty()) continue;
-    {
-      obs::ScopedTimer timer(stage_cause_inference_);
-      inference_.observe(vm, now, samples.back());
-    }
-    if (trained_) {
-      auto it = predictors_.find(vm);
-      if (it != predictors_.end() && it->second.trained())
-        it->second.observe(
-            std::vector<double>(samples.back().begin(),
-                                samples.back().end()));
-    }
-  }
+  observe_round(now, trained_, &inference_, stage_cause_inference_,
+                &predictors_);
   if (!trained_) return;
 
   if (ctx_.tracer != nullptr) {
@@ -480,35 +476,11 @@ void ReactiveController::on_sample(double now) {
     ctx_.tracer->tick(now);
   }
 
-  // Diagnose every abnormal-classifying VM with attribution evidence;
-  // fall back to the single most suspicious VM (see PrepareController's
-  // reactive path for the rationale).
   std::map<std::string, Classification> alerting;
   std::set<std::string> unhealthy;
-  if (ctx_.slo->currently_violated()) {
-    Classification best;
-    std::string best_vm;
-    for (auto& [vm, predictor] : predictors_) {
-      if (!predictor.trained()) continue;
-      const auto cls = predictor.classify_current();
-      // Any VM that still classifies abnormal keeps its open validation
-      // "unhealthy" — otherwise a drifting pick would bogusly mark
-      // earlier preventions as effective mid-violation.
-      if (cls.abnormal) unhealthy.insert(vm);
-      if (cls.abnormal && top_impact(cls) >= config_.alert_min_top_impact) {
-        alerting.emplace(vm, cls);
-      } else if (!actuator_.validation_open(vm) &&
-                 (best_vm.empty() || cls.score > best.score)) {
-        best = cls;
-        best_vm = vm;
-      }
-    }
-    if (alerting.empty() && !best_vm.empty()) alerting.emplace(best_vm, best);
-    for (const auto& [vm, cls] : alerting) unhealthy.insert(vm);
-    if (ctx_.tracer != nullptr)
-      for (const auto& [vm, cls] : alerting)
-        ctx_.tracer->reactive_alert(vm, now);
-  }
+  if (ctx_.slo->currently_violated())
+    alerting = diagnose_violation(now, predictors_, actuator_,
+                                  config_.alert_min_top_impact, &unhealthy);
 
   {
     obs::ScopedTimer timer(stage_prevention_);

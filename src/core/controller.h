@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,6 +119,8 @@ class AnomalyManager {
   virtual std::string name() const = 0;
 
  protected:
+  using PredictorMap = std::map<std::string, AnomalyPredictor>;
+
   /// Labeled feature rows for one VM over [t0, t1].
   void labeled_rows(const std::string& vm_name, double t0, double t1,
                     std::vector<std::vector<double>>* rows,
@@ -125,6 +128,29 @@ class AnomalyManager {
   /// Latest monitoring sample of a VM as a feature row.
   std::vector<double> latest_row(const std::string& vm_name) const;
   std::vector<std::string> vm_names() const;
+
+  /// Trains every VM's predictor on its labeled history over [t0, t1];
+  /// VMs without history stay untrained. Returns the trained VMs in map
+  /// order.
+  std::vector<std::string> train_predictors(PredictorMap* predictors,
+                                            double t0, double t1) const;
+  /// One round's observations: every VM's newest sample goes into the
+  /// workload-change detectors (timed into `stage`) and, once `trained`,
+  /// into its trained predictor's Markov context.
+  void observe_round(double now, bool trained, CauseInference* inference,
+                     obs::Histogram* stage, PredictorMap* predictors) const;
+  /// The diagnosis once the SLO is violated: every trained VM that
+  /// classifies abnormal with attribution evidence (top L_i at least
+  /// `min_top_impact`); if none qualifies, the single highest-scoring
+  /// trained VM with no open validation (the paper always intervenes
+  /// once a violation is detected). Every VM that still classifies
+  /// abnormal joins `unhealthy` — otherwise a drifting pick would
+  /// bogusly mark earlier preventions as effective mid-violation — and
+  /// so does every diagnosed VM. Opens a reactive span per diagnosed VM.
+  std::map<std::string, Classification> diagnose_violation(
+      double now, const PredictorMap& predictors,
+      const PreventionActuator& actuator, double min_top_impact,
+      std::set<std::string>* unhealthy) const;
 
   ControllerContext ctx_;
 };
@@ -160,7 +186,7 @@ class PrepareController : public AnomalyManager {
   TickIndex lookahead_steps_;
   bool trained_ = false;
 
-  std::map<std::string, AnomalyPredictor> predictors_;
+  PredictorMap predictors_;
   std::map<std::string, AlarmFilter> filters_;
   /// Flight-recorder slot per registered VM (filled in train() when
   /// ctx.recorder is set; the per-VM evidence layout depends on the
@@ -207,7 +233,7 @@ class ReactiveController : public AnomalyManager {
  private:
   PrepareConfig config_;
   bool trained_ = false;
-  std::map<std::string, AnomalyPredictor> predictors_;
+  PredictorMap predictors_;
   CauseInference inference_;
   PreventionActuator actuator_;
   obs::StageProfiler profiler_;

@@ -173,8 +173,9 @@ EpisodeReplayResult replay_episode(const obs::EpisodeBundle& bundle) {
     ++res.ticks_checked;
 
     // Classifier score: Eq. 1 re-summed left-to-right, exactly as
-    // TAN/NB accumulate it — floating-point addition is not
-    // associative, so the order is part of the contract.
+    // TanClassifier accumulates it under either structure —
+    // floating-point addition is not associative, so the order is part
+    // of the contract.
     if (tick.decomposable) {
       LogOdds score{tick.prior_log_odds};
       for (std::size_t i = 0; i < n; ++i) score += tick.impacts[i];
@@ -243,8 +244,11 @@ EpisodeReplayResult replay_episode(const obs::EpisodeBundle& bundle) {
 
   // Diagnosis: the recorded ranking must be the positive-impact prefix
   // of the stable impact sort. When the episode's confirming tick is in
-  // the capture (predictive episodes — the reactive path diagnoses from
-  // a separate classify_current call), re-rank its impacts and compare.
+  // the capture (predictive episodes), re-rank its impacts and compare.
+  // A tick that did not confirm was diagnosed by the reactive path from
+  // a separate classify_current call, whose impacts can coincide with
+  // the tick's on the ranked attributes yet rank the rest differently,
+  // so it is not re-ranked.
   if (bundle.diagnosis.valid) {
     res.diagnosis_checked = true;
     const auto& d = bundle.diagnosis;
@@ -257,7 +261,7 @@ EpisodeReplayResult replay_episode(const obs::EpisodeBundle& bundle) {
     }
     const obs::EvidenceTick* at = nullptr;
     for (const auto& tick : bundle.ticks)
-      if (tick.t == d.t) {
+      if (tick.t == d.t && tick.confirmed) {
         at = &tick;
         break;
       }

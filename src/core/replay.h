@@ -78,7 +78,8 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
 /// re-derivable decision matched the live run exactly:
 ///
 ///  * score: prior log-odds + sum of per-attribute L_i, summed
-///    left-to-right exactly as TAN/NB do (Eq. 1) — compared bitwise.
+///    left-to-right exactly as TanClassifier does under either
+///    structure (Eq. 1) — compared bitwise.
 ///    Skipped when the bundle's classifier is not decomposable.
 ///  * abnormal: score > 0, against the captured flag.
 ///  * mode rows: argmax of each captured per-attribute predicted
@@ -88,7 +89,9 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
 ///    pre-context (FlightRecorder checks pre_context_ticks >= W, so the
 ///    window is fully determined from the filter-warm tick onward).
 ///  * diagnosis: the ranking is the positive-impact prefix of the
-///    stable impact sort (Classifier::ranked_attributes order).
+///    stable impact sort (Classifier::ranked_attributes order); it is
+///    re-ranked from the captured impacts only when the diagnosis tick
+///    is a confirming one (reactive diagnoses use other impacts).
 ///  * prevention: each attempt's applied action re-derived from the
 ///    policy mode + the captured feasibility flags.
 struct EpisodeReplayResult {

@@ -48,40 +48,41 @@ class Classifier {
   virtual bool trained() const = 0;
 
   /// Classifies a concrete discretized sample.
-  virtual Classification classify(
-      const std::vector<std::size_t>& row) const = 0;
+  Classification classify(const std::vector<std::size_t>& row) const {
+    Classification out;
+    classify_into(row, &out);
+    return out;
+  }
 
   /// Same result as classify(), written into `out` (non-null) so the
   /// per-tick caller can reuse one impact vector instead of allocating a
-  /// fresh Classification every round. The default forwards to
-  /// classify(); the Bayesian classifiers override it allocation-free
-  /// (out->impacts only grows on the first call) — that override is the
-  /// steady-state classification path the analyzer proves hot-clean.
+  /// fresh Classification every round. Backends implement it
+  /// allocation-free (out->impacts only grows on the first call) — it is
+  /// the steady-state classification path the analyzer proves hot-clean.
   virtual void classify_into(const std::vector<std::size_t>& row,
-                             Classification* out) const {
-    *out = classify(row);
-  }
+                             Classification* out) const = 0;
 
   /// Classifies a *predicted* sample given per-attribute value
   /// distributions (assumed independent): each L_i is replaced by its
   /// expectation under the predicted distributions. This is how the
   /// anomaly predictor performs "classification over future data".
-  virtual Classification classify_expected(
-      const std::vector<Distribution>& dists) const = 0;
-
-  /// Same result as classify_expected(), written into `out` (non-null).
-  /// The default forwards to classify_expected(); the backends override
-  /// it allocation-free for the same reason as classify_into() — it is
-  /// the expected-mode arm of the per-tick prediction path.
-  virtual void classify_expected_into(const std::vector<Distribution>& dists,
-                                      Classification* out) const {
-    *out = classify_expected(dists);
+  Classification classify_expected(
+      const std::vector<Distribution>& dists) const {
+    Classification out;
+    classify_expected_into(dists, &out);
+    return out;
   }
 
+  /// Same result as classify_expected(), written into `out` (non-null),
+  /// allocation-free for the same reason as classify_into() — it is the
+  /// expected-mode arm of the per-tick prediction path.
+  virtual void classify_expected_into(const std::vector<Distribution>& dists,
+                                      Classification* out) const = 0;
+
   /// Log-odds score alone (Eq. 1), without the per-attribute impact
-  /// vector. The default forwards to classify(); the Bayesian
-  /// classifiers override it allocation-free so the per-horizon
-  /// calibration sweep can score every look-ahead step cheaply.
+  /// vector. The default forwards to classify(); TanClassifier
+  /// overrides it allocation-free so the per-horizon calibration sweep
+  /// can score every look-ahead step cheaply.
   virtual LogOdds score(const std::vector<std::size_t>& row) const {
     return classify(row).score;
   }
@@ -92,7 +93,7 @@ class Classifier {
 
   /// Whether the score decomposes exactly as prior_log_odds() plus the
   /// per-attribute impacts, accumulated left to right in attribute
-  /// order. The Bayesian backends (Eq. 1) satisfy this bit-for-bit —
+  /// order. TanClassifier (Eq. 1) satisfies this bit-for-bit —
   /// the flight-recorder replay (core/replay.h) relies on it to prove a
   /// captured episode bundle is complete. The outlier backend scores
   /// against a learned threshold instead and reports false.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "common/stats.h"
@@ -17,67 +16,6 @@ OutlierClassifier::OutlierClassifier(double threshold_quantile, double alpha,
   PREPARE_CHECK(threshold_quantile > 0.0 && threshold_quantile <= 1.0);
   PREPARE_CHECK(alpha > 0.0);
   PREPARE_CHECK(threshold_margin >= 1.0);
-}
-
-void OutlierClassifier::learn_structure(const LabeledDataset& data) {
-  const std::size_t n = data.attributes();
-  // Pairwise (unconditional) mutual information.
-  std::vector<std::vector<double>> mi(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::size_t ki = alphabet_[i], kj = alphabet_[j];
-      std::vector<double> joint(ki * kj, alpha_);
-      std::vector<double> margin_i(ki, alpha_ * static_cast<double>(kj));
-      std::vector<double> margin_j(kj, alpha_ * static_cast<double>(ki));
-      double total = alpha_ * static_cast<double>(ki * kj);
-      for (const auto& row : data.rows) {
-        joint[row[i] * kj + row[j]] += 1.0;
-        margin_i[row[i]] += 1.0;
-        margin_j[row[j]] += 1.0;
-        total += 1.0;
-      }
-      double info = 0.0;
-      for (std::size_t vi = 0; vi < ki; ++vi)
-        for (std::size_t vj = 0; vj < kj; ++vj) {
-          const double p = joint[vi * kj + vj] / total;
-          if (p > 0.0)
-            info += p * std::log(p / (margin_i[vi] / total *
-                                      (margin_j[vj] / total)));
-        }
-      mi[i][j] = mi[j][i] = std::max(0.0, info);
-    }
-  }
-  // Maximum spanning tree (Prim) rooted at attribute 0.
-  parents_.assign(n, kNoParent);
-  if (n == 1) return;
-  std::vector<bool> in_tree(n, false);
-  std::vector<double> best_weight(n, -1.0);
-  std::vector<std::size_t> best_from(n, kNoParent);
-  in_tree[0] = true;
-  for (std::size_t j = 1; j < n; ++j) {
-    best_weight[j] = mi[0][j];
-    best_from[j] = 0;
-  }
-  for (std::size_t added = 1; added < n; ++added) {
-    std::size_t pick = kNoParent;
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      if (best_weight[j] > best) {
-        best = best_weight[j];
-        pick = j;
-      }
-    }
-    in_tree[pick] = true;
-    parents_[pick] = best_from[pick];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      if (mi[pick][j] > best_weight[j]) {
-        best_weight[j] = mi[pick][j];
-        best_from[j] = pick;
-      }
-    }
-  }
 }
 
 void OutlierClassifier::learn_tables(const LabeledDataset& data) {
@@ -99,8 +37,10 @@ void OutlierClassifier::learn_tables(const LabeledDataset& data) {
 void OutlierClassifier::train(const LabeledDataset& data) {
   PREPARE_CHECK_MSG(!data.rows.empty(), "empty training set");
   PREPARE_CHECK(data.attributes() >= 1);
+  data.validate();
   alphabet_ = data.alphabet;
-  learn_structure(data);
+  parents_ =
+      learn_chow_liu_tree(data, alpha_, /*class_conditional=*/false).parents;
   learn_tables(data);
   trained_ = true;
 
@@ -154,13 +94,6 @@ double OutlierClassifier::surprisal(
   return total;
 }
 
-Classification OutlierClassifier::classify(
-    const std::vector<std::size_t>& row) const {
-  Classification out;
-  classify_into(row, &out);
-  return out;
-}
-
 void OutlierClassifier::classify_into(const std::vector<std::size_t>& row,
                                       Classification* out) const {
   PREPARE_CHECK(trained_);
@@ -177,13 +110,6 @@ void OutlierClassifier::classify_into(const std::vector<std::size_t>& row,
   }
   out->score = LogOdds{total - threshold_};
   out->abnormal = out->score > 0.0;
-}
-
-Classification OutlierClassifier::classify_expected(
-    const std::vector<Distribution>& dists) const {
-  Classification out;
-  classify_expected_into(dists, &out);
-  return out;
 }
 
 void OutlierClassifier::classify_expected_into(

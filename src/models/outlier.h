@@ -5,10 +5,11 @@
 //    detection).
 //
 // This implementation keeps the TAN machinery but drops the class node:
-// a Chow-Liu tree (unconditional mutual information) is fitted to the
-// training data as a tree-structured density model P(a_1..a_n), and a
-// sample is classified abnormal when its surprisal -log P exceeds a
-// quantile threshold calibrated on the training data itself. Labels, if
+// a Chow-Liu tree (unconditional mutual information, models/chow_liu.h)
+// is fitted to the training data as a tree-structured density model
+// P(a_1..a_n), and a sample is classified abnormal when its surprisal
+// -log P exceeds a quantile threshold calibrated on the training data
+// itself. Labels, if
 // present in the dataset, are ignored — the model detects anomalies it
 // has never seen, at the cost of not knowing what "this kind of
 // abnormal" looks like.
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "common/analyze_annotations.h"
+#include "models/chow_liu.h"
 #include "models/classifier.h"
 
 namespace prepare {
@@ -43,24 +45,20 @@ class OutlierClassifier : public Classifier {
   void train(const LabeledDataset& data) override;
   bool trained() const override { return trained_; }
 
-  Classification classify(const std::vector<std::size_t>& row) const override;
-  /// Allocation-free like the Bayesian backends' overrides: the
+  /// Allocation-free like TanClassifier's overrides: the
   /// kOutlier configuration takes the same per-tick prediction path.
   PREPARE_HOT void classify_into(const std::vector<std::size_t>& row,
                                  Classification* out) const override;
-  Classification classify_expected(
-      const std::vector<Distribution>& dists) const override;
   PREPARE_HOT void classify_expected_into(const std::vector<Distribution>& dists,
                                           Classification* out) const override;
 
   /// Total surprisal -log P(row) under the tree density.
   double surprisal(const std::vector<std::size_t>& row) const;
   double threshold() const { return threshold_; }
-  static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoParent = ChowLiuTree::kNoParent;
   const std::vector<std::size_t>& parents() const { return parents_; }
 
  private:
-  void learn_structure(const LabeledDataset& data);
   void learn_tables(const LabeledDataset& data);
   /// -log P(a_i = v | parent value).
   double local_surprisal(std::size_t attribute, std::size_t value,

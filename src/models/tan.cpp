@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "common/check.h"
 
 namespace prepare {
 
-TanClassifier::TanClassifier(double alpha) : alpha_(alpha) {
+TanClassifier::TanClassifier(double alpha, Structure structure)
+    : alpha_(alpha), structure_(structure) {
   PREPARE_CHECK(alpha > 0.0);
 }
 
@@ -16,96 +17,19 @@ void TanClassifier::train(const LabeledDataset& data) {
   PREPARE_CHECK_MSG(!data.rows.empty(), "empty training set");
   PREPARE_CHECK(data.rows.size() == data.abnormal.size());
   PREPARE_CHECK(data.attributes() >= 1);
+  data.validate();
   alphabet_ = data.alphabet;
-  learn_structure(data);
+  if (structure_ == Structure::kTree) {
+    ChowLiuTree tree =
+        learn_chow_liu_tree(data, alpha_, /*class_conditional=*/true);
+    parents_ = std::move(tree.parents);
+    cmi_ = std::move(tree.weights);
+  } else {
+    parents_.assign(data.attributes(), kNoParent);
+  }
   learn_cpts(data);
   trained_ = true;
   build_impact_tables();
-}
-
-void TanClassifier::learn_structure(const LabeledDataset& data) {
-  const std::size_t n = data.attributes();
-  cmi_.assign(n, std::vector<double>(n, 0.0));
-
-  // Class-conditional joint counts with Laplace smoothing, per pair. The
-  // count buffers live outside the loops and are re-initialized with
-  // assign() so each pair reuses one allocation.
-  std::vector<double> joint, mi, mj;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      double info = 0.0;
-      for (int c = 0; c < 2; ++c) {
-        // Count occurrences in class c.
-        const std::size_t ki = alphabet_[i], kj = alphabet_[j];
-        joint.assign(ki * kj, alpha_);
-        mi.assign(ki, alpha_ * static_cast<double>(kj));
-        mj.assign(kj, alpha_ * static_cast<double>(ki));
-        double total = alpha_ * static_cast<double>(ki * kj);
-        for (std::size_t r = 0; r < data.rows.size(); ++r) {
-          if ((data.abnormal[r] ? 1 : 0) != c) continue;
-          const std::size_t vi = data.rows[r][i];
-          const std::size_t vj = data.rows[r][j];
-          joint[vi * kj + vj] += 1.0;
-          mi[vi] += 1.0;
-          mj[vj] += 1.0;
-          total += 1.0;
-        }
-        // Weight by the (smoothed) class probability.
-        const double n_c =
-            static_cast<double>(std::count(data.abnormal.begin(),
-                                           data.abnormal.end(), c == 1));
-        const double p_c =
-            (n_c + alpha_) / (static_cast<double>(data.size()) + 2.0 * alpha_);
-        double info_c = 0.0;
-        for (std::size_t vi = 0; vi < ki; ++vi) {
-          for (std::size_t vj = 0; vj < kj; ++vj) {
-            const double p_joint = joint[vi * kj + vj] / total;
-            const double p_i = mi[vi] / total;
-            const double p_j = mj[vj] / total;
-            if (p_joint > 0.0)
-              info_c += p_joint * std::log(p_joint / (p_i * p_j));
-          }
-        }
-        info += p_c * std::max(0.0, info_c);
-      }
-      cmi_[i][j] = cmi_[j][i] = info;
-    }
-  }
-
-  // Maximum-weight spanning tree (Prim), rooted at attribute 0; the
-  // traversal order fixes edge orientation: parent = the tree vertex
-  // through which a vertex was attached.
-  parents_.assign(n, kNoParent);
-  if (n == 1) return;
-  std::vector<bool> in_tree(n, false);
-  std::vector<double> best_weight(n, -1.0);
-  std::vector<std::size_t> best_from(n, kNoParent);
-  in_tree[0] = true;
-  for (std::size_t j = 1; j < n; ++j) {
-    best_weight[j] = cmi_[0][j];
-    best_from[j] = 0;
-  }
-  for (std::size_t added = 1; added < n; ++added) {
-    std::size_t pick = kNoParent;
-    double pick_weight = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      if (best_weight[j] > pick_weight) {
-        pick_weight = best_weight[j];
-        pick = j;
-      }
-    }
-    PREPARE_DCHECK(pick != kNoParent);
-    in_tree[pick] = true;
-    parents_[pick] = best_from[pick];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      if (cmi_[pick][j] > best_weight[j]) {
-        best_weight[j] = cmi_[pick][j];
-        best_from[j] = pick;
-      }
-    }
-  }
 }
 
 void TanClassifier::learn_cpts(const LabeledDataset& data) {
@@ -121,12 +45,9 @@ void TanClassifier::learn_cpts(const LabeledDataset& data) {
   }
   for (std::size_t r = 0; r < data.rows.size(); ++r) {
     const auto& row = data.rows[r];
-    PREPARE_CHECK_EQ(row.size(), n) << "ragged training row " << r;
     const int c = data.abnormal[r] ? 1 : 0;
     class_counts_[c] += 1.0;
     for (std::size_t i = 0; i < n; ++i) {
-      PREPARE_CHECK_LT(row[i], alphabet_[i])
-          << "row " << r << " attribute " << i << " out of alphabet";
       const std::size_t pv =
           parents_[i] == kNoParent ? 0 : row[parents_[i]];
       cpt_[c][i][pv * alphabet_[i] + row[i]] += 1.0;
@@ -216,13 +137,6 @@ void TanClassifier::build_impact_tables() {
   }
 }
 
-Classification TanClassifier::classify(
-    const std::vector<std::size_t>& row) const {
-  Classification out;
-  classify_into(row, &out);
-  return out;
-}
-
 void TanClassifier::classify_into(const std::vector<std::size_t>& row,
                                   Classification* out) const {
   PREPARE_CHECK(trained_);
@@ -296,13 +210,6 @@ Classifier::CptStats TanClassifier::cpt_stats() const {
   }
   stats.log_odds_spread = hi - lo;
   return stats;
-}
-
-Classification TanClassifier::classify_expected(
-    const std::vector<Distribution>& dists) const {
-  Classification out;
-  classify_expected_into(dists, &out);
-  return out;
 }
 
 void TanClassifier::classify_expected_into(

@@ -1,11 +1,12 @@
 // Tree-Augmented Naive Bayes (TAN) classifier (Cohen et al., OSDI'04 [12];
 // paper Section II-B/II-C).
 //
-// Structure learning follows Friedman's classic construction: compute the
-// class-conditional mutual information I(A_i; A_j | C) for every
-// attribute pair, build the maximum-weight spanning tree over attributes,
-// and orient it from a root — each attribute then has the class plus at
-// most one other attribute as parents. CPTs use Laplace smoothing.
+// Structure learning follows Friedman's classic construction: a Chow–Liu
+// tree over the class-conditional mutual information I(A_i; A_j | C)
+// (models/chow_liu.h) — each attribute then has the class plus at most
+// one other attribute as parents. CPTs use Laplace smoothing. With
+// Structure::kNaiveBayes the tree is empty and the same code is the
+// naive Bayes baseline.
 //
 // The per-attribute impact strength L_i (Eq. 2),
 //
@@ -20,21 +21,31 @@
 #include <vector>
 
 #include "common/analyze_annotations.h"
+#include "models/chow_liu.h"
 #include "models/classifier.h"
 
 namespace prepare {
 
 class TanClassifier : public Classifier {
  public:
-  explicit TanClassifier(double alpha = 1.0);
+  /// Attribute-parent structure learned by train().
+  enum class Structure {
+    /// Chow–Liu tree over I(A_i; A_j | C): TAN proper, the paper's model.
+    kTree,
+    /// No attribute parents: naive Bayes, the classifier of the authors'
+    /// earlier ALERT work [10]. Kept for the TAN-vs-NB ablation — the
+    /// paper adopts TAN because naive Bayes "cannot provide the metric
+    /// attribution information accurately" (Section II-B).
+    kNaiveBayes,
+  };
+
+  explicit TanClassifier(double alpha = 1.0,
+                         Structure structure = Structure::kTree);
 
   void train(const LabeledDataset& data) override;
   bool trained() const override { return trained_; }
-  Classification classify(const std::vector<std::size_t>& row) const override;
   PREPARE_HOT void classify_into(const std::vector<std::size_t>& row,
                                  Classification* out) const override;
-  Classification classify_expected(
-      const std::vector<Distribution>& dists) const override;
   PREPARE_HOT void classify_expected_into(const std::vector<Distribution>& dists,
                                           Classification* out) const override;
   PREPARE_HOT LogOdds score(const std::vector<std::size_t>& row) const override;
@@ -43,8 +54,9 @@ class TanClassifier : public Classifier {
   LogOdds prior_log_odds() const override { return LogOdds{log_prior_odds_}; }
 
   /// parent(i) = index of attribute i's attribute-parent, or kNoParent
-  /// for the root (whose only parent is the class node).
-  static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+  /// for the root (whose only parent is the class node) and for every
+  /// attribute under Structure::kNaiveBayes.
+  static constexpr std::size_t kNoParent = ChowLiuTree::kNoParent;
   const std::vector<std::size_t>& parents() const { return parents_; }
 
   /// Smoothed P(a_i = v | a_pi = pv, C = c); for the root, pv is ignored.
@@ -53,11 +65,11 @@ class TanClassifier : public Classifier {
   Probability prior(bool abnormal) const;
 
   /// Class-conditional mutual information I(A_i; A_j | C) from the last
-  /// training set (exposed for tests; symmetric).
+  /// training set (exposed for tests; symmetric). Only learned under
+  /// Structure::kTree.
   double conditional_mutual_information(std::size_t i, std::size_t j) const;
 
  private:
-  void learn_structure(const LabeledDataset& data);
   void learn_cpts(const LabeledDataset& data);
   void build_impact_tables();
   double log_impact(std::size_t attribute, std::size_t value,
@@ -67,6 +79,7 @@ class TanClassifier : public Classifier {
   }
 
   double alpha_;
+  Structure structure_;
   bool trained_ = false;
   std::vector<std::size_t> alphabet_;
   std::vector<std::size_t> parents_;

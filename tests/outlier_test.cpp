@@ -29,6 +29,15 @@ TEST(Outlier, RejectsBadConstruction) {
   EXPECT_THROW(OutlierClassifier(0.99, 0.0), CheckFailure);
 }
 
+TEST(Outlier, MalformedTrainingRowsThrow) {
+  auto data = normal_population(100, 12);
+  data.rows[7][2] = 3;  // outside the 3-bin alphabet
+  EXPECT_THROW(OutlierClassifier().train(data), CheckFailure);
+  data = normal_population(100, 12);
+  data.rows[7].pop_back();
+  EXPECT_THROW(OutlierClassifier().train(data), CheckFailure);
+}
+
 TEST(Outlier, NormalStatesStayNormal) {
   OutlierClassifier model(0.995);
   const auto data = normal_population(500, 1);

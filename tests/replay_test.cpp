@@ -212,5 +212,64 @@ TEST(EpisodeReplay, TamperedEvidenceIsCaughtNotRubberStamped) {
   EXPECT_FALSE(result.first_mismatch.empty());
 }
 
+// A three-attribute bundle with one tick at t=10 whose impacts rank
+// attributes 2, 1, 0, and a recorded diagnosis at that tick ranking
+// {2, 0}. The diagnosis impacts coincide with the tick's on both ranked
+// attributes, but the tick's own ranking puts attribute 1 second.
+obs::EpisodeBundle diagnosis_bundle(bool tick_confirmed) {
+  obs::EpisodeBundle bundle;
+  bundle.trace_id = "vm-a#1";
+  bundle.vm = "vm-a";
+  bundle.layout.attributes = 3;
+  bundle.layout.offsets = {0, 2, 4, 6};
+  bundle.layout.attribute_names = {"a0", "a1", "a2"};
+  // A 1-of-1 filter confirms exactly the raw alerts.
+  bundle.decision.filter_k = 1;
+  bundle.decision.filter_w = 1;
+  obs::EvidenceTick tick;
+  tick.t = 10.0;
+  tick.valid = true;
+  tick.impacts = {1.0, 2.0, 3.0};
+  tick.decomposable = true;
+  tick.prior_log_odds = tick_confirmed ? 0.0 : -10.0;
+  tick.score = tick.prior_log_odds + 6.0;
+  tick.abnormal = tick.score > 0.0;
+  tick.raw_alert = tick.abnormal;
+  tick.confirmed = tick.raw_alert;
+  tick.mode_row = {0, 0, 0};
+  tick.observed_row = {0, 0, 0};
+  tick.dists = {1.0, 0.0, 1.0, 0.0, 1.0, 0.0};
+  bundle.ticks.push_back(tick);
+  bundle.diagnosis.valid = true;
+  bundle.diagnosis.t = 10.0;
+  bundle.diagnosis.ranked = {2, 0};
+  bundle.diagnosis.impacts = {3.0, 1.0};
+  return bundle;
+}
+
+TEST(EpisodeReplay, ReactiveDiagnosisIsNotRerankedFromAnUnconfirmedTick) {
+  // The tick did not confirm, so the diagnosis came from the reactive
+  // path's own classification: its ranking is not the tick's to check.
+  const auto result =
+      replay_episode(diagnosis_bundle(/*tick_confirmed=*/false));
+  EXPECT_TRUE(result.diagnosis_checked);
+  EXPECT_TRUE(result.diagnosis_ok) << result.first_mismatch;
+  EXPECT_TRUE(result.ok) << result.first_mismatch;
+}
+
+TEST(EpisodeReplay, PredictiveDiagnosisIsRerankedFromItsConfirmingTick) {
+  // The same ranking at a confirming tick contradicts the tick's
+  // impacts and must be reported.
+  const auto result =
+      replay_episode(diagnosis_bundle(/*tick_confirmed=*/true));
+  EXPECT_TRUE(result.diagnosis_checked);
+  EXPECT_FALSE(result.diagnosis_ok);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.score_mismatches + result.filter_mismatches +
+                result.alert_mismatches,
+            0u)
+      << result.first_mismatch;
+}
+
 }  // namespace
 }  // namespace prepare

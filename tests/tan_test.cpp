@@ -184,6 +184,16 @@ TEST(Tan, AllNormalTrainingNeverAlarms) {
       EXPECT_FALSE(tan.classify({a, b}).abnormal);
 }
 
+TEST(Tan, MalformedTrainingRowsThrow) {
+  // Caught before structure learning indexes the pair count tables.
+  auto data = correlated_dataset(100, 12);
+  data.rows[5][1] = 3;  // outside the 3-bin alphabet
+  EXPECT_THROW(TanClassifier().train(data), CheckFailure);
+  data = correlated_dataset(100, 12);
+  data.rows[5].pop_back();
+  EXPECT_THROW(TanClassifier().train(data), CheckFailure);
+}
+
 TEST(Tan, MismatchedRowSizeThrows) {
   TanClassifier tan;
   tan.train(correlated_dataset(100, 11));
@@ -210,6 +220,120 @@ TEST_P(TanDatasetSweep, TreeAndTrainAccuracy) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TanDatasetSweep,
                          ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28));
+
+// ---- Structure::kNaiveBayes: the empty tree is the naive Bayes baseline ----
+
+/// Two attributes over 3 bins; attribute 0 is high iff abnormal,
+/// attribute 1 is pure noise.
+LabeledDataset planted_dataset(std::size_t n, std::uint64_t seed) {
+  LabeledDataset data;
+  data.alphabet = {3, 3};
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool abnormal = i % 3 == 0;
+    const std::size_t a0 = abnormal ? 2 : (rng.chance(0.5) ? 0 : 1);
+    const std::size_t a1 = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    data.rows.push_back({a0, a1});
+    data.abnormal.push_back(abnormal);
+  }
+  return data;
+}
+
+TanClassifier naive_bayes(double alpha = 1.0) {
+  return TanClassifier(alpha, TanClassifier::Structure::kNaiveBayes);
+}
+
+TEST(NaiveBayes, RejectsBadConstruction) {
+  EXPECT_THROW(naive_bayes(0.0), CheckFailure);
+}
+
+TEST(NaiveBayes, TrainOnEmptyThrows) {
+  auto nb = naive_bayes();
+  EXPECT_THROW(nb.train(LabeledDataset{}), CheckFailure);
+}
+
+TEST(NaiveBayes, EveryAttributeHasOnlyTheClassParent) {
+  auto nb = naive_bayes();
+  nb.train(correlated_dataset(400, 2));
+  // Even the copied attribute pair that TAN links stays unlinked.
+  for (std::size_t p : nb.parents()) EXPECT_EQ(p, TanClassifier::kNoParent);
+  EXPECT_THROW(nb.conditional_mutual_information(0, 1), CheckFailure);
+}
+
+TEST(NaiveBayes, ClassifiesPlantedSignal) {
+  auto nb = naive_bayes();
+  nb.train(planted_dataset(300, 1));
+  EXPECT_TRUE(nb.classify({2, 1}).abnormal);
+  EXPECT_FALSE(nb.classify({0, 1}).abnormal);
+}
+
+TEST(NaiveBayes, ScoreDecomposesIntoImpacts) {
+  auto nb = naive_bayes();
+  nb.train(planted_dataset(300, 2));
+  const auto result = nb.classify({2, 0});
+  double total = std::log(nb.prior(true) / nb.prior(false));
+  for (double impact : result.impacts) total += impact;
+  EXPECT_NEAR(result.score, total, 1e-12);
+}
+
+TEST(NaiveBayes, PlantedAttributeHasLargestImpact) {
+  auto nb = naive_bayes();
+  nb.train(planted_dataset(500, 3));
+  const auto result = nb.classify({2, 2});
+  const auto order = Classifier::ranked_attributes(result);
+  EXPECT_EQ(order[0], 0u);
+  EXPECT_GT(result.impacts[0], result.impacts[1]);
+}
+
+TEST(NaiveBayes, LikelihoodsAreDistributions) {
+  auto nb = naive_bayes();
+  nb.train(planted_dataset(200, 4));
+  for (bool c : {false, true}) {
+    for (std::size_t a = 0; a < 2; ++a) {
+      double total = 0.0;
+      for (std::size_t v = 0; v < 3; ++v)
+        total += nb.likelihood(a, BinIndex{v}, BinIndex{0}, c);
+      EXPECT_NEAR(total, 1.0, 1e-9);
+    }
+  }
+}
+
+TEST(NaiveBayes, PriorsSumToOne) {
+  auto nb = naive_bayes();
+  nb.train(planted_dataset(200, 5));
+  EXPECT_NEAR(nb.prior(true) + nb.prior(false), 1.0, 1e-12);
+}
+
+TEST(NaiveBayes, ExpectedClassificationMatchesDeltaInputs) {
+  auto nb = naive_bayes();
+  nb.train(planted_dataset(300, 6));
+  const std::vector<std::size_t> row = {2, 1};
+  std::vector<Distribution> dists = {Distribution::delta(3, BinIndex{2}),
+                                     Distribution::delta(3, BinIndex{1})};
+  const auto hard = nb.classify(row);
+  const auto soft = nb.classify_expected(dists);
+  EXPECT_NEAR(hard.score, soft.score, 1e-9);
+  EXPECT_EQ(hard.abnormal, soft.abnormal);
+}
+
+TEST(NaiveBayes, AllNormalTrainingNeverAlarms) {
+  LabeledDataset data;
+  data.alphabet = {3};
+  for (int i = 0; i < 50; ++i) {
+    data.rows.push_back({static_cast<std::size_t>(i % 3)});
+    data.abnormal.push_back(false);
+  }
+  auto nb = naive_bayes();
+  nb.train(data);
+  for (std::size_t v = 0; v < 3; ++v)
+    EXPECT_FALSE(nb.classify({v}).abnormal);
+}
+
+TEST(NaiveBayes, UntrainedQueriesThrow) {
+  auto nb = naive_bayes();
+  EXPECT_THROW(nb.classify({0}), CheckFailure);
+  EXPECT_THROW(nb.prior(true), CheckFailure);
+}
 
 }  // namespace
 }  // namespace prepare
