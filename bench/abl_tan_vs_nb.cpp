@@ -60,11 +60,9 @@ double attribution_hit_rate(const ScenarioResult& trace,
     predictor.observe(std::vector<double>(v.begin(), v.end()));
     if (!trace.slo.violated_at(t)) continue;
     const auto cls = predictor.classify_current();
-    const auto order = Classifier::ranked_attributes(cls);
     ++checked;
-    for (std::size_t k = 0; k < 3 && k < order.size(); ++k) {
-      if (cls.impacts[order[k]] <= 0.0) break;
-      const auto attr = static_cast<Attribute>(order[k]);
+    for (std::size_t a : Classifier::attribution_ranking(cls.impacts, 3)) {
+      const auto attr = static_cast<Attribute>(a);
       if (fault == FaultKind::kMemoryLeak ? is_memory_metric(attr)
                                           : is_cpu_metric(attr)) {
         ++hits;

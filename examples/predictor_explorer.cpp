@@ -55,18 +55,14 @@ int main() {
     if (!predictor.ready() || static_cast<long>(t) % 25 != 0) continue;
     if (t > 1120.0) break;
     const auto result = predictor.predict(TickIndex{24});  // 120 s at 5 s sampling
-    const auto order =
-        Classifier::ranked_attributes(result.classification);
     std::printf("%7.0f %10.0f %12.0f %8.2f %7s  ", t, sample[kFreeMem],
                 result.predicted_values[kFreeMem],
                 result.classification.score.value(),
                 result.classification.abnormal ? "ALARM" : "-");
-    for (std::size_t k = 0; k < 3; ++k) {
-      const std::size_t a = order[k];
-      if (result.classification.impacts[a] <= 0.0) break;
+    for (std::size_t a :
+         Classifier::attribution_ranking(result.classification.impacts, 3))
       std::printf("%s(%.1f) ", features[a].c_str(),
                   result.classification.impacts[a]);
-    }
     std::printf("\n");
   }
   return 0;

@@ -29,6 +29,7 @@
 // compile out in release builds (see common/check.h).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -87,6 +88,14 @@ class TickIndex : public internal::StrongOrdinal<TickIndex, std::size_t> {
  public:
   using StrongOrdinal::StrongOrdinal;
 };
+
+/// The look-ahead step count of a `lookahead_s` horizon sampled every
+/// `sampling_interval_s`: the horizon in intervals, rounded, at least 1.
+inline TickIndex lookahead_steps(double lookahead_s,
+                                 double sampling_interval_s) {
+  return TickIndex{static_cast<std::size_t>(
+      std::max(1.0, std::round(lookahead_s / sampling_interval_s)))};
+}
 
 /// Index of a discretized attribute bin (one of the paper's "single
 /// states", Fig. 2): what Discretizer::discretize produces and the

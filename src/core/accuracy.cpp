@@ -1,11 +1,7 @@
 #include "core/accuracy.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
 #include "core/alarm_filter.h"
-#include "monitor/labeler.h"
 
 namespace prepare {
 
@@ -16,9 +12,8 @@ std::vector<std::string> feature_names_for(
     std::size_t vm_index) {
   std::vector<std::string> names;
   auto add_vm = [&](const std::string& vm) {
-    for (std::size_t a = 0; a < kAttributeCount; ++a)
-      names.push_back(vm + "." +
-                      attribute_name(static_cast<Attribute>(a)));
+    for (const auto& attribute : attribute_names())
+      names.push_back(vm + "." + attribute);
   };
   if (per_component)
     add_vm(vm_names[vm_index]);
@@ -35,14 +30,9 @@ AccuracyResult evaluate_accuracy(const MetricStore& store, const SloLog& slo,
                                  const AccuracyConfig& config) {
   PREPARE_CHECK(!vm_names.empty());
   PREPARE_CHECK(lookahead_s > 0.0);
-  const auto steps = static_cast<std::size_t>(std::max(
-      1.0, std::round(lookahead_s / config.sampling_interval_s)));
-
-  // All VMs are sampled by the same loop, so their sample indices align.
-  const std::size_t total = store.sample_count(vm_names[0]);
-  for (const auto& vm : vm_names)
-    PREPARE_CHECK_MSG(store.sample_count(vm) == total,
-                      "unaligned sample histories");
+  const std::size_t steps =
+      lookahead_steps(lookahead_s, config.sampling_interval_s).value();
+  const std::size_t total = store.aligned_sample_count(vm_names);
   PREPARE_CHECK_MSG(total >= steps + 2, "trace too short");
 
   // Assemble aligned rows: per VM, or concatenated for the monolithic
@@ -100,9 +90,8 @@ AccuracyResult evaluate_accuracy(const MetricStore& store, const SloLog& slo,
       if (config.require_discriminative && !predictors[m].discriminative())
         continue;
       const auto cls = predictors[m].predict(TickIndex{steps}).classification;
-      double top = 0.0;
-      for (double impact : cls.impacts) top = std::max(top, impact);
-      if (cls.abnormal && top >= config.alert_min_top_impact) {
+      if (passes_alert_gate(cls.abnormal, cls.impacts,
+                            config.alert_min_top_impact)) {
         raw_alert = true;
         break;
       }

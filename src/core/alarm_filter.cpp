@@ -1,8 +1,17 @@
 #include "core/alarm_filter.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace prepare {
+
+bool passes_alert_gate(bool abnormal, std::span<const double> impacts,
+                       double min_top_impact) {
+  double top = 0.0;
+  for (double impact : impacts) top = std::max(top, impact);
+  return abnormal && top >= min_top_impact;
+}
 
 AlarmFilter::AlarmFilter(std::size_t k, std::size_t w)
     : k_(k), window_(w) {

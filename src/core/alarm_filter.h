@@ -8,10 +8,18 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "timeseries/sliding_window.h"
 
 namespace prepare {
+
+/// The raw-alert gate in front of the filter: the prediction is abnormal
+/// and its top-ranked metric carries attribution evidence,
+/// max(0, max L_i) >= min_top_impact. PREPARE cannot choose a prevention
+/// without a pinpointed metric, so an abnormal score alone is no alert.
+bool passes_alert_gate(bool abnormal, std::span<const double> impacts,
+                       double min_top_impact);
 
 class AlarmFilter {
  public:

@@ -39,24 +39,33 @@ bool CauseInference::workload_change_suspected(double now) const {
              static_cast<double>(vm_names_.size());
 }
 
+Diagnosis::FaultyVm attribute_fault(const std::string& vm,
+                                    const Classification& cls,
+                                    std::size_t limit) {
+  Diagnosis::FaultyVm faulty;
+  faulty.vm = vm;
+  faulty.score = cls.score;
+  for (std::size_t a : Classifier::attribution_ranking(cls.impacts, limit)) {
+    faulty.ranked.push_back(static_cast<Attribute>(a));
+    faulty.impacts.push_back(cls.impacts[a]);
+  }
+  return faulty;
+}
+
+std::vector<std::pair<std::string, double>> cause_attribution(
+    const Diagnosis::FaultyVm& faulty) {
+  std::vector<std::pair<std::string, double>> top;
+  for (std::size_t i = 0; i < std::min<std::size_t>(3, faulty.ranked.size());
+       ++i)
+    top.emplace_back(attribute_name(faulty.ranked[i]), faulty.impacts[i]);
+  return top;
+}
+
 Diagnosis CauseInference::diagnose(
     const std::map<std::string, Classification>& alerting) const {
   Diagnosis out;
-  for (const auto& [vm, cls] : alerting) {
-    Diagnosis::FaultyVm faulty;
-    faulty.vm = vm;
-    faulty.score = cls.score;
-    const auto order = Classifier::ranked_attributes(cls);
-    const std::size_t take =
-        std::min(config_.top_attributes, order.size());
-    for (std::size_t i = 0; i < take; ++i) {
-      // Only keep attributes that actually push toward "abnormal".
-      if (cls.impacts[order[i]] <= 0.0) break;
-      faulty.ranked.push_back(static_cast<Attribute>(order[i]));
-      faulty.impacts.push_back(cls.impacts[order[i]]);
-    }
-    out.faulty.push_back(std::move(faulty));
-  }
+  for (const auto& [vm, cls] : alerting)
+    out.faulty.push_back(attribute_fault(vm, cls, config_.top_attributes));
   std::stable_sort(out.faulty.begin(), out.faulty.end(),
                    [](const Diagnosis::FaultyVm& a,
                       const Diagnosis::FaultyVm& b) {

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "models/classifier.h"
@@ -28,6 +29,17 @@ struct Diagnosis {
   std::vector<FaultyVm> faulty;       ///< sorted by score, descending
   bool workload_change = false;
 };
+
+/// One VM's attribution from its classification: the metrics of
+/// Classifier::attribution_ranking (at most `limit`) with their L_i.
+Diagnosis::FaultyVm attribute_fault(const std::string& vm,
+                                    const Classification& cls,
+                                    std::size_t limit);
+
+/// (metric name, L_i) of the top three ranked metrics: the attribution a
+/// cause_inferred span carries.
+std::vector<std::pair<std::string, double>> cause_attribution(
+    const Diagnosis::FaultyVm& faulty);
 
 struct CauseInferenceConfig {
   /// How many top-ranked metrics to keep per faulty VM. Wide enough that

@@ -1,49 +1,12 @@
 #include "core/controller.h"
 
-#include <algorithm>
-#include <cmath>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
 
 namespace prepare {
-
-namespace {
-
-std::vector<double> to_row(const AttributeVector& v) {
-  return std::vector<double>(v.begin(), v.end());
-}
-
-std::vector<std::string> attribute_feature_names() {
-  std::vector<std::string> names;
-  names.reserve(kAttributeCount);
-  for (std::size_t a = 0; a < kAttributeCount; ++a)
-    names.push_back(attribute_name(static_cast<Attribute>(a)));
-  return names;
-}
-
-double top_impact(const Classification& cls) {
-  double best = 0.0;
-  for (double impact : cls.impacts) best = std::max(best, impact);
-  return best;
-}
-
-/// (attribute name, impact strength L_i) pairs for a cause_inferred
-/// span, highest-ranked first.
-std::vector<std::pair<std::string, double>> top_metric_attrs(
-    const Diagnosis::FaultyVm& faulty) {
-  std::vector<std::pair<std::string, double>> top;
-  const std::size_t take = std::min<std::size_t>(3, faulty.ranked.size());
-  top.reserve(take);
-  for (std::size_t i = 0; i < take; ++i)
-    top.emplace_back(attribute_name(faulty.ranked[i]), faulty.impacts[i]);
-  return top;
-}
-
-}  // namespace
 
 AnomalyManager::AnomalyManager(ControllerContext ctx) : ctx_(ctx) {
   PREPARE_CHECK(ctx.app != nullptr);
@@ -60,35 +23,13 @@ std::vector<std::string> AnomalyManager::vm_names() const {
   return names;
 }
 
-void AnomalyManager::labeled_rows(const std::string& vm_name, double t0,
-                                  double t1,
-                                  std::vector<std::vector<double>>* rows,
-                                  std::vector<bool>* abnormal) const {
-  const auto samples = Labeler::label(*ctx_.store, *ctx_.slo, vm_name, t0, t1);
-  rows->clear();
-  abnormal->clear();
-  rows->reserve(samples.size());
-  abnormal->reserve(samples.size());
-  for (const auto& s : samples) {
-    rows->push_back(to_row(s.values));
-    abnormal->push_back(s.abnormal);
-  }
-}
-
-std::vector<double> AnomalyManager::latest_row(
-    const std::string& vm_name) const {
-  const auto samples = ctx_.store->last_samples(vm_name, 1);
-  PREPARE_CHECK_MSG(!samples.empty(), "no samples for VM " + vm_name);
-  return to_row(samples.back());
-}
-
 std::vector<std::string> AnomalyManager::train_predictors(
     PredictorMap* predictors, double t0, double t1) const {
   std::vector<std::vector<double>> rows;
   std::vector<bool> abnormal;
   std::vector<std::string> trained;
   for (auto& [vm, predictor] : *predictors) {
-    labeled_rows(vm, t0, t1, &rows, &abnormal);
+    Labeler::label_rows(*ctx_.store, *ctx_.slo, vm, t0, t1, &rows, &abnormal);
     if (rows.empty()) continue;
     predictor.train(rows, abnormal);
     trained.push_back(vm);
@@ -110,7 +51,16 @@ void AnomalyManager::observe_round(double now, bool trained,
     if (!trained) continue;
     auto it = predictors->find(vm);
     if (it != predictors->end() && it->second.trained())
-      it->second.observe(to_row(samples.back()));
+      it->second.observe(
+          std::vector<double>(samples.back().begin(), samples.back().end()));
+  }
+  // Episode bookkeeping: SLO edge detection (lead times / misses) and
+  // stale-episode expiry, before this round's alerts open new episodes
+  // — a confirmation in the same round as the violation onset has zero
+  // lead and must not count as a prediction.
+  if (trained && ctx_.tracer != nullptr) {
+    ctx_.tracer->observe_slo(now, ctx_.slo->currently_violated());
+    ctx_.tracer->tick(now);
   }
 }
 
@@ -125,7 +75,7 @@ std::map<std::string, Classification> AnomalyManager::diagnose_violation(
     if (!predictor.trained()) continue;
     const auto cls = predictor.classify_current();
     if (cls.abnormal) unhealthy->insert(vm);
-    if (cls.abnormal && top_impact(cls) >= min_top_impact) {
+    if (passes_alert_gate(cls.abnormal, cls.impacts, min_top_impact)) {
       diagnosed.emplace(vm, cls);
     } else if (!actuator.validation_open(vm) &&
                (best_vm.empty() || cls.score > best.score)) {
@@ -147,16 +97,15 @@ PrepareController::PrepareController(ControllerContext ctx,
                                      PrepareConfig config)
     : AnomalyManager(ctx),
       config_(config),
-      lookahead_steps_(TickIndex{static_cast<std::size_t>(std::max(
-          1.0,
-          std::round(config.lookahead_s / config.sampling_interval_s)))}),
+      lookahead_steps_(
+          lookahead_steps(config.lookahead_s, config.sampling_interval_s)),
       inference_(vm_names(), config.inference),
       actuator_(ctx.hypervisor, ctx.cluster, ctx.store, ctx.log,
                 config.prevention, ctx.metrics, ctx.tracer, ctx.recorder),
       profiler_(ctx.metrics),
       pool_(ctx.num_threads > 1 ? std::make_unique<ThreadPool>(ctx.num_threads)
                                 : nullptr) {
-  const auto names = attribute_feature_names();
+  const auto names = attribute_names();
   if (ctx.introspect != nullptr) {
     ctx.introspect->set_horizon(lookahead_steps_.value(),
                                 config_.sampling_interval_s);
@@ -242,15 +191,6 @@ void PrepareController::on_sample(double now) {
                 &predictors_);
   if (!trained_) return;
 
-  // Episode bookkeeping: SLO edge detection (lead times / misses) and
-  // stale-episode expiry, before this round's alerts open new episodes
-  // — a confirmation in the same round as the violation onset has zero
-  // lead and must not count as a prediction.
-  if (ctx_.tracer != nullptr) {
-    ctx_.tracer->observe_slo(now, ctx_.slo->currently_violated());
-    ctx_.tracer->tick(now);
-  }
-
   // Calibration round: resolve the pending horizon predictions whose
   // target round is this one against the realized SLO state (the same
   // outcome definition the Labeler uses for training labels), then open
@@ -308,9 +248,9 @@ void PrepareController::on_sample(double now) {
     // independent of the fan-out's thread count.
     if (ctx_.introspect != nullptr && !result.horizon_probs.empty())
       ctx_.introspect->record_horizon_probs(result.horizon_probs);
-    const bool raw = result.classification.abnormal &&
-                     top_impact(result.classification) >=
-                         config_.alert_min_top_impact;
+    const bool raw = passes_alert_gate(result.classification.abnormal,
+                                       result.classification.impacts,
+                                       config_.alert_min_top_impact);
     if (raw) {
       ++raw_alerts_;
       obs::inc(raw_alerts_counter_);
@@ -420,8 +360,7 @@ void PrepareController::on_sample(double now) {
         ctx_.tracer->workload_change_suppressed(faulty.vm, now);
     } else {
       for (const auto& faulty : diagnosis.faulty) {
-        ctx_.tracer->cause_inferred(faulty.vm, now,
-                                    top_metric_attrs(faulty));
+        ctx_.tracer->cause_inferred(faulty.vm, now, cause_attribution(faulty));
         // Full attribution ranking into the open capture (cold path:
         // at most one diagnosis per episode is kept).
         if (ctx_.recorder != nullptr) {
@@ -451,7 +390,7 @@ ReactiveController::ReactiveController(ControllerContext ctx,
       actuator_(ctx.hypervisor, ctx.cluster, ctx.store, ctx.log,
                 config.prevention, ctx.metrics, ctx.tracer),
       profiler_(ctx.metrics) {
-  const auto names = attribute_feature_names();
+  const auto names = attribute_names();
   for (const auto& vm : vm_names()) {
     auto [it, inserted] =
         predictors_.emplace(vm, AnomalyPredictor(names, config_.predictor));
@@ -471,11 +410,6 @@ void ReactiveController::on_sample(double now) {
                 &predictors_);
   if (!trained_) return;
 
-  if (ctx_.tracer != nullptr) {
-    ctx_.tracer->observe_slo(now, ctx_.slo->currently_violated());
-    ctx_.tracer->tick(now);
-  }
-
   std::map<std::string, Classification> alerting;
   std::set<std::string> unhealthy;
   if (ctx_.slo->currently_violated())
@@ -494,7 +428,7 @@ void ReactiveController::on_sample(double now) {
   }
   if (ctx_.tracer != nullptr)
     for (const auto& faulty : diagnosis.faulty)
-      ctx_.tracer->cause_inferred(faulty.vm, now, top_metric_attrs(faulty));
+      ctx_.tracer->cause_inferred(faulty.vm, now, cause_attribution(faulty));
   {
     obs::ScopedTimer timer(stage_prevention_);
     for (const auto& faulty : diagnosis.faulty) actuator_.actuate(faulty, now);

@@ -121,12 +121,6 @@ class AnomalyManager {
  protected:
   using PredictorMap = std::map<std::string, AnomalyPredictor>;
 
-  /// Labeled feature rows for one VM over [t0, t1].
-  void labeled_rows(const std::string& vm_name, double t0, double t1,
-                    std::vector<std::vector<double>>* rows,
-                    std::vector<bool>* abnormal) const;
-  /// Latest monitoring sample of a VM as a feature row.
-  std::vector<double> latest_row(const std::string& vm_name) const;
   std::vector<std::string> vm_names() const;
 
   /// Trains every VM's predictor on its labeled history over [t0, t1];
@@ -136,7 +130,8 @@ class AnomalyManager {
                                             double t0, double t1) const;
   /// One round's observations: every VM's newest sample goes into the
   /// workload-change detectors (timed into `stage`) and, once `trained`,
-  /// into its trained predictor's Markov context.
+  /// into its trained predictor's Markov context, and the SLO state
+  /// into the span tracer.
   void observe_round(double now, bool trained, CauseInference* inference,
                      obs::Histogram* stage, PredictorMap* predictors) const;
   /// The diagnosis once the SLO is violated: every trained VM that

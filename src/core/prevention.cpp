@@ -43,7 +43,7 @@ bool PreventionActuator::has_baseline(const std::string& vm_name) const {
   return baseline_.count(vm_name) != 0;
 }
 
-PreventionActuator::MetricKind PreventionActuator::kind_of(Attribute a) {
+MetricKind metric_kind(Attribute a) {
   switch (a) {
     case Attribute::kCpuUtil:
     case Attribute::kCpuResidual:
@@ -68,53 +68,66 @@ double PreventionActuator::lookback_mean(const std::string& vm, Attribute a,
   return mean.value_or(0.0);
 }
 
-bool PreventionActuator::try_scale(Vm* vm, MetricKind kind, double /*now*/) {
-  Host* host = cluster_->host_of(*vm);
-  PREPARE_CHECK(host != nullptr);
-  if (kind == MetricKind::kCpu) {
-    const double desired = vm->cpu_alloc() * config_.cpu_scale_factor;
-    const double target =
-        std::min(desired, vm->cpu_alloc() + host->cpu_headroom());
-    if (target - vm->cpu_alloc() < config_.min_cpu_step) return false;
-    return hypervisor_->scale_cpu(vm, target);
-  }
-  if (kind == MetricKind::kMemory) {
-    const double desired = vm->mem_alloc() * config_.mem_scale_factor;
-    const double target =
-        std::min(desired, vm->mem_alloc() + host->mem_headroom());
-    if (target - vm->mem_alloc() < config_.min_mem_step_mb) return false;
-    return hypervisor_->scale_memory(vm, target);
-  }
-  return false;
+std::optional<PreventionActuator::ScaleStep> PreventionActuator::scale_step(
+    const Vm& vm, MetricKind kind, const Host& host) const {
+  if (kind == MetricKind::kOther) return std::nullopt;
+  const bool cpu = kind == MetricKind::kCpu;
+  const double alloc = cpu ? vm.cpu_alloc() : vm.mem_alloc();
+  const double desired =
+      alloc * (cpu ? config_.cpu_scale_factor : config_.mem_scale_factor);
+  const double target = std::min(
+      desired, alloc + (cpu ? host.cpu_headroom() : host.mem_headroom()));
+  const double delta = target - alloc;
+  if (delta < (cpu ? config_.min_cpu_step : config_.min_mem_step_mb))
+    return std::nullopt;
+  return ScaleStep{target, delta};
 }
 
-bool PreventionActuator::try_migrate(Vm* vm, MetricKind kind, double now) {
-  (void)kind;
-  const auto last = last_migration_time_.find(vm->name());
+std::optional<PreventionActuator::MigrationTarget>
+PreventionActuator::migration_target(const Vm& vm, double now) const {
+  const auto last = last_migration_time_.find(vm.name());
   if (last != last_migration_time_.end() &&
       now - last->second < config_.migration_cooldown_s)
-    return false;
+    return std::nullopt;
   // Land with generous headroom on BOTH resources: the paper relocates
   // the faulty VM "to a host with desired resources" (matching the VM's
   // demand pattern, PAC [15]) — a second migration is far more expensive
   // than landing big, and the diagnosis may have ranked a symptom metric
   // (saturated CPU) above the root resource (leaking memory).
-  const double cpu_after = vm->cpu_alloc() * config_.migration_cpu_factor;
-  const double mem_after = vm->mem_alloc() * config_.migration_mem_factor;
-  Host* current = cluster_->host_of(*vm);
-  Host* target =
-      cluster_->find_best_target_host(cpu_after, mem_after, current);
-  if (target == nullptr) {
+  const double cpu = vm.cpu_alloc() * config_.migration_cpu_factor;
+  const double mem = vm.mem_alloc() * config_.migration_mem_factor;
+  return MigrationTarget{
+      cluster_->find_best_target_host(cpu, mem, cluster_->host_of(vm)), cpu,
+      mem};
+}
+
+bool PreventionActuator::try_scale(Vm* vm, MetricKind kind) {
+  const Host* host = cluster_->host_of(*vm);
+  PREPARE_CHECK(host != nullptr);
+  const auto step = scale_step(*vm, kind, *host);
+  if (!step) return false;
+  return kind == MetricKind::kCpu ? hypervisor_->scale_cpu(vm, step->target)
+                                  : hypervisor_->scale_memory(vm, step->target);
+}
+
+bool PreventionActuator::try_migrate(Vm* vm, double now) {
+  const auto target = migration_target(*vm, now);
+  if (!target) return false;
+  if (target->host == nullptr) {
     log_->record(now, EventKind::kInfo, vm->name(),
                  "migration skipped: no host with desired resources");
     obs::inc(migrations_skipped_counter_);
-    PREPARE_WARN("prevention")
-        << "migration of " << vm->name() << " at t=" << now
-        << " skipped: no host fits cpu=" << cpu_after
-        << " mem=" << mem_after;
+    if (warned_[vm->name()].insert(Warning::kNoHost).second) {
+      PREPARE_WARN("prevention")
+          << "migration of " << vm->name() << " at t=" << now
+          << " skipped: no host fits cpu=" << target->cpu
+          << " mem=" << target->mem
+          << " (not repeated for this VM until an action fires)";
+    }
     return false;
   }
-  if (!hypervisor_->migrate(vm, target, cpu_after, mem_after)) return false;
+  if (!hypervisor_->migrate(vm, target->host, target->cpu, target->mem))
+    return false;
   last_migration_time_[vm->name()] = now;
   return true;
 }
@@ -122,103 +135,61 @@ bool PreventionActuator::try_migrate(Vm* vm, MetricKind kind, double now) {
 bool PreventionActuator::probe_can_scale(const Vm& vm, MetricKind kind) const {
   const Host* host = cluster_->host_of(vm);
   if (host == nullptr) return false;
-  if (kind == MetricKind::kCpu) {
-    const double desired = vm.cpu_alloc() * config_.cpu_scale_factor;
-    const double target =
-        std::min(desired, vm.cpu_alloc() + host->cpu_headroom());
-    const double delta = target - vm.cpu_alloc();
-    if (delta < config_.min_cpu_step) return false;
-    return host->can_grow(vm, delta, 0.0);
-  }
-  if (kind == MetricKind::kMemory) {
-    const double desired = vm.mem_alloc() * config_.mem_scale_factor;
-    const double target =
-        std::min(desired, vm.mem_alloc() + host->mem_headroom());
-    const double delta = target - vm.mem_alloc();
-    if (delta < config_.min_mem_step_mb) return false;
-    return host->can_grow(vm, 0.0, delta);
-  }
-  return false;
+  const auto step = scale_step(vm, kind, *host);
+  if (!step) return false;
+  const bool cpu = kind == MetricKind::kCpu;
+  return host->can_grow(vm, cpu ? step->delta : 0.0, cpu ? 0.0 : step->delta);
 }
 
 bool PreventionActuator::probe_can_migrate(const Vm& vm, double now) const {
   if (vm.migrating()) return false;
-  const auto last = last_migration_time_.find(vm.name());
-  if (last != last_migration_time_.end() &&
-      now - last->second < config_.migration_cooldown_s)
-    return false;
-  const double cpu_after = vm.cpu_alloc() * config_.migration_cpu_factor;
-  const double mem_after = vm.mem_alloc() * config_.migration_mem_factor;
-  const Host* current = cluster_->host_of(vm);
-  return cluster_->find_best_target_host(cpu_after, mem_after, current) !=
-         nullptr;
-}
-
-void PreventionActuator::record_attempt(const Vm& vm, Attribute a,
-                                        MetricKind kind, double now,
-                                        int phase, bool scale_known,
-                                        bool scale_ok, bool migrate_known,
-                                        bool migrate_ok, int applied) {
-  if (recorder_ == nullptr) return;
-  obs::PreventionEvidence ev;
-  ev.t = now;
-  ev.phase = phase;
-  ev.attribute = static_cast<std::size_t>(a);
-  ev.metric_kind = static_cast<int>(kind);
-  ev.scale_possible = scale_known ? scale_ok : probe_can_scale(vm, kind);
-  ev.migrate_possible =
-      migrate_known ? migrate_ok : probe_can_migrate(vm, now);
-  ev.applied = applied;
-  recorder_->record_prevention(vm.name(), ev);
+  const auto target = migration_target(vm, now);
+  return target && target->host != nullptr;
 }
 
 bool PreventionActuator::apply_action(Vm* vm, Attribute a, double now,
-                                      int phase) {
-  const MetricKind kind = kind_of(a);
-  // Track which feasibility checks the mode actually consulted and how
-  // they came out; the recorder evidence reuses the genuine outcomes so
-  // offline replay re-derives the exact same decision.
-  int applied = 0;
-  bool scale_ok = false, migrate_ok = false;
-  bool scale_known = false, migrate_known = false;
-  switch (config_.mode) {
-    case PreventionMode::kScalingOnly:
-      if (kind != MetricKind::kOther) {
-        scale_ok = try_scale(vm, kind, now);
-        scale_known = true;
-        if (scale_ok) applied = 1;
-      }
-      break;
-    case PreventionMode::kMigrationOnly:
-      migrate_ok = try_migrate(vm, kind, now);
-      migrate_known = true;
-      if (migrate_ok) {
-        applied = 2;
-      } else if (kind != MetricKind::kOther) {
-        // Migration unavailable (cooldown, no target host): scaling on
-        // the current host is the only remaining remedy.
-        scale_ok = try_scale(vm, kind, now);
-        scale_known = true;
-        if (scale_ok) applied = 1;
-      }
-      break;
-    case PreventionMode::kScalingThenMigration:
-      if (kind != MetricKind::kOther) {
-        scale_ok = try_scale(vm, kind, now);
-        scale_known = true;
-      }
-      if (scale_ok) {
-        applied = 1;
-      } else {
-        migrate_ok = try_migrate(vm, kind, now);
-        migrate_known = true;
-        if (migrate_ok) applied = 2;
-      }
-      break;
+                                      PreventionPhase phase) {
+  const MetricKind kind = metric_kind(a);
+  // The recorder evidence keeps the outcomes of the attempts the policy
+  // consulted, so offline replay re-derives the exact same decision.
+  std::optional<bool> scaled, migrated;
+  const Remedy applied = prevention_policy(
+      config_.mode, kind, phase,
+      [&] {
+        scaled = try_scale(vm, kind);
+        return *scaled;
+      },
+      [&] {
+        migrated = try_migrate(vm, now);
+        return *migrated;
+      });
+  if (recorder_ != nullptr) {
+    obs::PreventionEvidence ev;
+    ev.t = now;
+    ev.phase = static_cast<int>(phase);
+    ev.attribute = static_cast<std::size_t>(a);
+    ev.metric_kind = static_cast<int>(kind);
+    ev.scale_possible = scaled ? *scaled : probe_can_scale(*vm, kind);
+    ev.migrate_possible = migrated ? *migrated : probe_can_migrate(*vm, now);
+    ev.applied = static_cast<int>(applied);
+    recorder_->record_prevention(vm->name(), ev);
   }
-  record_attempt(*vm, a, kind, now, phase, scale_known, scale_ok,
-                 migrate_known, migrate_ok, applied);
-  return applied != 0;
+  return applied != Remedy::kNone;
+}
+
+void PreventionActuator::report_action(const std::string& vm, double now,
+                                       const std::string& detail) {
+  ++actions_fired_;
+  obs::inc(actions_counter_);
+  log_->record(now, EventKind::kPrevention, vm, detail);
+  if (tracer_ != nullptr) tracer_->prevention_issued(vm, now, detail);
+  last_action_time_[vm] = now;
+  warned_.erase(vm);
+}
+
+void PreventionActuator::report_escalation(const std::string& vm, double now,
+                                           const char* reason) {
+  if (tracer_ != nullptr) tracer_->escalated(vm, now, reason);
 }
 
 bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
@@ -230,14 +201,10 @@ bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
 
   for (std::size_t i = 0; i < faulty.ranked.size(); ++i) {
     const Attribute a = faulty.ranked[i];
-    if (!apply_action(vm, a, now)) continue;
-    ++actions_fired_;
-    obs::inc(actions_counter_);
+    if (!apply_action(vm, a, now, PreventionPhase::kInitial)) continue;
     std::ostringstream detail;
     detail << "acted on " << attribute_name(a) << " (rank " << i << ")";
-    log_->record(now, EventKind::kPrevention, faulty.vm, detail.str());
-    if (tracer_ != nullptr)
-      tracer_->prevention_issued(faulty.vm, now, detail.str());
+    report_action(faulty.vm, now, detail.str());
     PendingValidation pv;
     pv.action_time = now;
     pv.acted = a;
@@ -252,41 +219,32 @@ bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
     // migration (and essential when the migration had to fall back to
     // local scaling).
     if (config_.companion_scaling) {
-      const MetricKind primary = kind_of(a);
+      const MetricKind primary = metric_kind(a);
       for (std::size_t j = i + 1; j < faulty.ranked.size(); ++j) {
-        const MetricKind other = kind_of(faulty.ranked[j]);
+        const MetricKind other = metric_kind(faulty.ranked[j]);
         if (other == MetricKind::kOther || other == primary) continue;
-        const bool companion_ok = try_scale(vm, other, now);
-        record_attempt(*vm, faulty.ranked[j], other, now, /*phase=*/1,
-                       /*scale_known=*/true, companion_ok,
-                       /*migrate_known=*/false, false,
-                       companion_ok ? 1 : 0);
-        if (companion_ok) {
-          ++actions_fired_;
-          obs::inc(actions_counter_);
-          log_->record(now, EventKind::kPrevention, faulty.vm,
-                       "companion action on " +
-                           attribute_name(faulty.ranked[j]));
-          if (tracer_ != nullptr)
-            tracer_->prevention_issued(
-                faulty.vm, now,
-                "companion action on " + attribute_name(faulty.ranked[j]));
+        if (apply_action(vm, faulty.ranked[j], now,
+                         PreventionPhase::kCompanion)) {
+          report_action(faulty.vm, now,
+                        "companion action on " +
+                            attribute_name(faulty.ranked[j]));
           pv.next_index = j + 1;
         }
         break;
       }
     }
     pending_[faulty.vm] = std::move(pv);
-    last_action_time_[faulty.vm] = now;
     return true;
   }
   log_->record(now, EventKind::kInfo, faulty.vm,
                "no applicable prevention action");
-  PREPARE_WARN("prevention")
-      << "no applicable action for " << faulty.vm << " at t=" << now
-      << " (every ranked metric exhausted)";
-  if (tracer_ != nullptr)
-    tracer_->escalated(faulty.vm, now, "no applicable prevention action");
+  if (warned_[faulty.vm].insert(Warning::kNoAction).second) {
+    PREPARE_WARN("prevention")
+        << "no applicable action for " << faulty.vm << " at t=" << now
+        << " (every ranked metric exhausted; not repeated for this VM "
+           "until an action fires)";
+  }
+  report_escalation(faulty.vm, now, "no applicable prevention action");
   return false;
 }
 
@@ -337,18 +295,11 @@ void PreventionActuator::on_sample(double now,
     while (pv.next_index < pv.ranked.size()) {
       const Attribute next = pv.ranked[pv.next_index++];
       if (vm != nullptr && !vm->migrating() &&
-          apply_action(vm, next, now, /*phase=*/2)) {
-        ++actions_fired_;
-        obs::inc(actions_counter_);
-        log_->record(now, EventKind::kPrevention, vm_name,
-                     "fallback action on " + attribute_name(next));
-        if (tracer_ != nullptr)
-          tracer_->prevention_issued(
-              vm_name, now, "fallback action on " + attribute_name(next));
+          apply_action(vm, next, now, PreventionPhase::kFallback)) {
+        report_action(vm_name, now, "fallback action on " + attribute_name(next));
         pv.action_time = now;
         pv.acted = next;
         pv.lookback_mean = lookback_mean(vm_name, next, now);
-        last_action_time_[vm_name] = now;
         reacted = true;
         break;
       }
@@ -359,8 +310,7 @@ void PreventionActuator::on_sample(double now,
       // Ranking exhausted: close the record so a later confirmed alert
       // can retry from the top (e.g. scale further as a leak keeps
       // growing).
-      if (tracer_ != nullptr)
-        tracer_->escalated(vm_name, now, "ranking exhausted");
+      report_escalation(vm_name, now, "ranking exhausted");
       it = pending_.erase(it);
     }
   }
@@ -385,36 +335,31 @@ void PreventionActuator::maybe_reclaim(double now,
     if (store_->sample_count(vm_name) == 0) continue;
 
     const double window_start = now - config_.reclaim_idle_s;
-    // CPU: shrink toward baseline when sustained utilization is low.
-    if (vm->cpu_alloc() > base.first * 1.01) {
-      const auto util = store_->series(vm_name, Attribute::kCpuUtil)
-                            .mean_between(window_start, now);
-      if (util && *util < config_.reclaim_cpu_util_pct) {
-        const double target =
-            std::max(base.first, vm->cpu_alloc() * config_.reclaim_factor);
-        if (hypervisor_->scale_cpu(vm, target)) {
-          log_->record(now, EventKind::kInfo, vm_name,
-                       "elastic reclaim: cpu scaled down");
-          obs::inc(reclaims_counter_);
-          last_action_time_[vm_name] = now;
-        }
-      }
-    }
-    // Memory: shrink toward baseline when sustained usage is low.
-    if (vm->mem_alloc() > base.second * 1.01) {
-      const auto util = store_->series(vm_name, Attribute::kMemUtil)
-                            .mean_between(window_start, now);
-      if (util && *util < config_.reclaim_mem_util_pct) {
-        const double target =
-            std::max(base.second, vm->mem_alloc() * config_.reclaim_factor);
-        if (hypervisor_->scale_memory(vm, target)) {
-          log_->record(now, EventKind::kInfo, vm_name,
-                       "elastic reclaim: memory scaled down");
-          obs::inc(reclaims_counter_);
-          last_action_time_[vm_name] = now;
-        }
-      }
-    }
+    // Shrink a resource toward its baseline when its sustained
+    // utilization is low.
+    const auto reclaim = [&](MetricKind kind) {
+      const bool cpu = kind == MetricKind::kCpu;
+      const double baseline = cpu ? base.first : base.second;
+      const double alloc = cpu ? vm->cpu_alloc() : vm->mem_alloc();
+      if (alloc <= baseline * 1.01) return;
+      const auto util =
+          store_->series(vm_name, cpu ? Attribute::kCpuUtil : Attribute::kMemUtil)
+              .mean_between(window_start, now);
+      const double idle_pct =
+          cpu ? config_.reclaim_cpu_util_pct : config_.reclaim_mem_util_pct;
+      if (!util || *util >= idle_pct) return;
+      const double target = std::max(baseline, alloc * config_.reclaim_factor);
+      const bool scaled = cpu ? hypervisor_->scale_cpu(vm, target)
+                              : hypervisor_->scale_memory(vm, target);
+      if (!scaled) return;
+      log_->record(now, EventKind::kInfo, vm_name,
+                   cpu ? "elastic reclaim: cpu scaled down"
+                       : "elastic reclaim: memory scaled down");
+      obs::inc(reclaims_counter_);
+      last_action_time_[vm_name] = now;
+    };
+    reclaim(MetricKind::kCpu);
+    reclaim(MetricKind::kMemory);
   }
 }
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -41,6 +42,46 @@ enum class PreventionMode {
   kMigrationOnly,
   kScalingThenMigration,
 };
+
+/// The resource a metric implicates: scaling grows the VM's CPU cap or
+/// its memory; an "other" metric (network, disk) cannot be scaled.
+/// Values match obs::PreventionEvidence::metric_kind.
+enum class MetricKind { kCpu, kMemory, kOther };
+MetricKind metric_kind(Attribute a);
+
+/// Where an attempt sits: the walk down a fresh diagnosis's ranking,
+/// the companion scaling of the other resource kind, or a fallback after
+/// a failed validation. Values match obs::PreventionEvidence::phase.
+enum class PreventionPhase { kInitial, kCompanion, kFallback };
+
+/// The remedy an attempt applied. Values match
+/// obs::PreventionEvidence::applied.
+enum class Remedy { kNone, kScale, kMigrate };
+
+/// The prevention policy (Section II-D): which remedy one ranked metric
+/// gets under `mode`. `scale` and `migrate` are the two attempts,
+/// callables returning whether the remedy is (or was) possible; each is
+/// consulted at most once, in policy order. Only cpu and memory metrics
+/// can be scaled, and a companion attempt is always a scaling. The live
+/// actuator passes real attempts; replay and what-if pass the outcomes
+/// an episode bundle captured.
+template <typename Scale, typename Migrate>
+Remedy prevention_policy(PreventionMode mode, MetricKind kind,
+                         PreventionPhase phase, Scale scale,
+                         Migrate migrate) {
+  const auto scaled = [&] { return kind != MetricKind::kOther && scale(); };
+  if (phase == PreventionPhase::kCompanion ||
+      mode == PreventionMode::kScalingOnly)
+    return scaled() ? Remedy::kScale : Remedy::kNone;
+  if (mode == PreventionMode::kMigrationOnly) {
+    // Migration unavailable (cooldown, no target host): scaling on the
+    // current host is the only remaining remedy.
+    if (migrate()) return Remedy::kMigrate;
+    return scaled() ? Remedy::kScale : Remedy::kNone;
+  }
+  if (scaled()) return Remedy::kScale;
+  return migrate() ? Remedy::kMigrate : Remedy::kNone;
+}
 
 struct PreventionConfig {
   PreventionMode mode = PreventionMode::kScalingThenMigration;
@@ -133,28 +174,38 @@ class PreventionActuator {
     double lookback_mean = 0.0;
   };
 
-  enum class MetricKind { kCpu, kMemory, kOther };
-  static MetricKind kind_of(Attribute a);
+  /// A scaling remedy's size on the VM's current host: the new
+  /// allocation and the growth it asks of the host.
+  struct ScaleStep { double target, delta; };
+  /// A migration remedy's size: the best host that fits (null when none
+  /// does) and the grown allocation the VM lands with there.
+  struct MigrationTarget { Host* host; double cpu, mem; };
 
-  /// Executes one action for `vm` keyed on attribute `a`; returns false
-  /// if no action could be applied. `phase` tags the attempt for the
-  /// flight recorder (0 initial ranked walk, 2 validation fallback).
-  bool apply_action(Vm* vm, Attribute a, double now, int phase = 0);
-  bool try_scale(Vm* vm, MetricKind kind, double now);
-  bool try_migrate(Vm* vm, MetricKind kind, double now);
-  /// Side-effect-free feasibility probes, mirroring try_scale /
-  /// try_migrate. Used only to fill recorder evidence fields the live
-  /// mode did not consult (what-if replay needs both flags; the flags
-  /// the mode *did* consult come from the actual attempt outcomes).
+  /// Runs the prevention policy for `vm` keyed on attribute `a` and
+  /// records the attempt into the flight recorder; returns false if no
+  /// remedy could be applied.
+  bool apply_action(Vm* vm, Attribute a, double now, PreventionPhase phase);
+  bool try_scale(Vm* vm, MetricKind kind);
+  bool try_migrate(Vm* vm, double now);
+  /// Side-effect-free feasibility probes over the same sizing as
+  /// try_scale / try_migrate. They fill only the recorder evidence flags
+  /// the policy did not consult (what-if replay needs both flags).
   bool probe_can_scale(const Vm& vm, MetricKind kind) const;
   bool probe_can_migrate(const Vm& vm, double now) const;
-  /// Records one prevention attempt into the flight recorder (no-op
-  /// when detached). Consulted outcomes are authoritative; unconsulted
-  /// flags fall back to the probes.
-  void record_attempt(const Vm& vm, Attribute a, MetricKind kind,
-                      double now, int phase, bool scale_known,
-                      bool scale_ok, bool migrate_known, bool migrate_ok,
-                      int applied);
+  /// Null when the growth clamped to the host's headroom stays below
+  /// the minimum step (or the metric is not scalable).
+  std::optional<ScaleStep> scale_step(const Vm& vm, MetricKind kind,
+                                      const Host& host) const;
+  /// Null while the VM is in its migration cooldown.
+  std::optional<MigrationTarget> migration_target(const Vm& vm,
+                                                  double now) const;
+  /// One fired action: tally, counter, EventLog record, tracer span, and
+  /// the VM's last-action time; re-arms the VM's warnings.
+  void report_action(const std::string& vm, double now,
+                     const std::string& detail);
+  /// An episode the actuator gives up on (tracer escalation).
+  void report_escalation(const std::string& vm, double now,
+                         const char* reason);
   double lookback_mean(const std::string& vm, Attribute a, double now) const;
   void maybe_reclaim(double now, const std::set<std::string>& unhealthy);
 
@@ -171,6 +222,10 @@ class PreventionActuator {
   std::map<std::string, std::pair<double, double>> baseline_;
   std::map<std::string, double> last_action_time_;
   std::map<std::string, double> last_migration_time_;
+  /// Warnings already emitted per VM. Each kind warns once per VM until
+  /// an action fires for it, not once per ranked metric per round.
+  enum class Warning { kNoHost, kNoAction };
+  std::map<std::string, std::set<Warning>> warned_;
   std::size_t actions_fired_ = 0;
   std::size_t validations_failed_ = 0;
 

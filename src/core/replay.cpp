@@ -1,15 +1,14 @@
 #include "core/replay.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
 #include "common/units.h"
 #include "core/alarm_filter.h"
+#include "core/cause_inference.h"
+#include "core/prevention.h"
 #include "monitor/labeler.h"
 
 namespace prepare {
@@ -17,35 +16,24 @@ namespace prepare {
 namespace {
 
 const char* applied_name(int applied) {
-  switch (applied) {
-    case 1:
+  switch (static_cast<Remedy>(applied)) {
+    case Remedy::kScale:
       return "scale";
-    case 2:
+    case Remedy::kMigrate:
       return "migrate";
     default:
       return "none";
   }
 }
 
-/// The prevention decision function, lifted out of
-/// PreventionActuator::apply_action: given the policy mode and the
-/// feasibility flags the live run consulted, which action fires?
-/// `metric_kind` is 0 cpu / 1 memory / 2 other; only cpu/memory are
-/// scalable. Must mirror core/prevention.cpp exactly — the replay
-/// bit-identity tests pin the two together.
-int decide_applied(int mode, int metric_kind, bool scale_possible,
-                   bool migrate_possible) {
-  const bool scalable = metric_kind != 2 && scale_possible;
-  switch (mode) {
-    case 0:  // kScalingOnly
-      return scalable ? 1 : 0;
-    case 1:  // kMigrationOnly (scaling is the fallback remedy)
-      if (migrate_possible) return 2;
-      return scalable ? 1 : 0;
-    default:  // kScalingThenMigration
-      if (scalable) return 1;
-      return migrate_possible ? 2 : 0;
-  }
+/// The live prevention policy re-run on one captured attempt under
+/// `mode`, with the feasibility flags the live run consulted (or probed).
+int replayed_remedy(const obs::PreventionEvidence& p, int mode) {
+  return static_cast<int>(prevention_policy(
+      static_cast<PreventionMode>(mode),
+      static_cast<MetricKind>(p.metric_kind),
+      static_cast<PreventionPhase>(p.phase),
+      [&] { return p.scale_possible; }, [&] { return p.migrate_possible; }));
 }
 
 std::string attr_label(const obs::EpisodeBundle& bundle, std::size_t a) {
@@ -63,25 +51,19 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
                           std::vector<std::string> vm_names) {
   if (vm_names.empty()) vm_names = store.vm_names();
   PREPARE_CHECK_MSG(!vm_names.empty(), "trace has no VMs");
-  const auto steps = static_cast<std::size_t>(std::max(
-      1.0, std::round(config.lookahead_s / config.sampling_interval_s)));
-
-  std::vector<std::string> features;
-  for (std::size_t a = 0; a < kAttributeCount; ++a)
-    features.push_back(attribute_name(static_cast<Attribute>(a)));
+  const std::size_t total = store.aligned_sample_count(vm_names);
+  const TickIndex steps =
+      lookahead_steps(config.lookahead_s, config.sampling_interval_s);
 
   // Train one model per VM on the labeled prefix.
   std::map<std::string, AnomalyPredictor> predictors;
   std::map<std::string, AlarmFilter> filters;
+  std::vector<std::vector<double>> rows;
+  std::vector<bool> abnormal;
   for (const auto& vm : vm_names) {
-    AnomalyPredictor predictor(features, config.predictor);
-    std::vector<std::vector<double>> rows;
-    std::vector<bool> abnormal;
-    for (const auto& s :
-         Labeler::label(store, slo, vm, 0.0, config.train_end)) {
-      rows.emplace_back(s.values.begin(), s.values.end());
-      abnormal.push_back(s.abnormal);
-    }
+    AnomalyPredictor predictor(attribute_names(), config.predictor);
+    Labeler::label_rows(store, slo, vm, 0.0, config.train_end, &rows,
+                        &abnormal);
     PREPARE_CHECK_MSG(!rows.empty(), "no training samples for " + vm);
     predictor.train(rows, abnormal);
     predictors.emplace(vm, std::move(predictor));
@@ -90,7 +72,6 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
 
   // Replay.
   ReplayReport report;
-  const std::size_t total = store.sample_count(vm_names[0]);
   double last_time = config.train_end;
   for (std::size_t i = 0; i < total; ++i) {
     const double t = store.sample_time(vm_names[0], i);
@@ -105,25 +86,18 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
       const auto values = store.sample(vm, i);
       predictor.observe(std::vector<double>(values.begin(), values.end()));
       if (!predictor.ready() || !predictor.discriminative()) continue;
-      const auto result = predictor.predict(TickIndex{steps});
-      double top = 0.0;
-      for (double impact : result.classification.impacts)
-        top = std::max(top, impact);
-      const bool raw = result.classification.abnormal &&
-                       top >= config.alert_min_top_impact;
+      const auto cls = predictor.predict(steps).classification;
+      const bool raw = passes_alert_gate(cls.abnormal, cls.impacts,
+                                         config.alert_min_top_impact);
       const bool confirmed = filters.at(vm).push(raw);
       if (!raw && !confirmed) continue;
+      const auto faulty = attribute_fault(vm, cls, 3);
       ReplayAlert alert;
       alert.time = t;
       alert.vm = vm;
       alert.confirmed = confirmed;
-      alert.score = result.classification.score;
-      const auto order =
-          Classifier::ranked_attributes(result.classification);
-      for (std::size_t k = 0; k < 3 && k < order.size(); ++k) {
-        if (result.classification.impacts[order[k]] <= 0.0) break;
-        alert.top_metrics.push_back(static_cast<Attribute>(order[k]));
-      }
+      alert.score = cls.score;
+      alert.top_metrics = faulty.ranked;
       if (raw) ++report.raw_alerts;
       if (confirmed) {
         ++report.confirmed_alerts;
@@ -133,13 +107,7 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
         if (raw) config.tracer->raw_alert(vm, t);
         if (confirmed) {
           config.tracer->confirmed(vm, t);
-          std::vector<std::pair<std::string, double>> top;
-          for (std::size_t k = 0; k < alert.top_metrics.size(); ++k)
-            top.emplace_back(
-                attribute_name(alert.top_metrics[k]),
-                result.classification.impacts[static_cast<std::size_t>(
-                    alert.top_metrics[k])]);
-          config.tracer->cause_inferred(vm, t, top);
+          config.tracer->cause_inferred(vm, t, cause_attribution(faulty));
         }
       }
       report.alerts.push_back(std::move(alert));
@@ -216,10 +184,9 @@ EpisodeReplayResult replay_episode(const obs::EpisodeBundle& bundle) {
     }
 
     // Raw alert gate: abnormal + attribution confidence.
-    double top = 0.0;
-    for (std::size_t i = 0; i < n; ++i) top = std::max(top, tick.impacts[i]);
     const bool raw =
-        tick.abnormal && top >= bundle.decision.alert_min_top_impact;
+        passes_alert_gate(tick.abnormal, {tick.impacts.data(), n},
+                          bundle.decision.alert_min_top_impact);
     if (raw != tick.raw_alert) {
       ++res.alert_mismatches;
       std::ostringstream os;
@@ -269,19 +236,15 @@ EpisodeReplayResult replay_episode(const obs::EpisodeBundle& bundle) {
     for (std::size_t r = 0; impacts_match && r < d.ranked.size(); ++r)
       impacts_match = d.ranked[r] < n && d.impacts[r] == at->impacts[d.ranked[r]];
     if (impacts_match) {
-      std::vector<std::size_t> order(n);
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return at->impacts[a] > at->impacts[b];
-                       });
+      const auto order = Classifier::attribution_ranking(
+          {at->impacts.data(), n}, d.ranked.size());
       for (std::size_t r = 0; r < d.ranked.size() && res.diagnosis_ok; ++r) {
-        if (order[r] != d.ranked[r]) {
+        if (r >= order.size() || order[r] != d.ranked[r]) {
           res.diagnosis_ok = false;
           std::ostringstream os;
           os << "diagnosis rank " << r << ": replayed "
-             << attr_label(bundle, order[r]) << " != recorded "
-             << attr_label(bundle, d.ranked[r]);
+             << (r < order.size() ? attr_label(bundle, order[r]) : "none")
+             << " != recorded " << attr_label(bundle, d.ranked[r]);
           note(os.str());
         }
       }
@@ -289,15 +252,10 @@ EpisodeReplayResult replay_episode(const obs::EpisodeBundle& bundle) {
   }
 
   // Prevention: re-derive each attempt's action from the policy mode
-  // and the feasibility flags the live run consulted. Companion
-  // attempts (phase 1) are always a scaling, under every mode.
+  // and the feasibility flags the live run consulted.
   for (const auto& p : bundle.preventions) {
     ++res.preventions_checked;
-    const int applied =
-        p.phase == 1 ? (p.scale_possible ? 1 : 0)
-                     : decide_applied(bundle.decision.prevention_mode,
-                                      p.metric_kind, p.scale_possible,
-                                      p.migrate_possible);
+    const int applied = replayed_remedy(p, bundle.decision.prevention_mode);
     if (applied != p.applied) {
       ++res.prevention_mismatches;
       std::ostringstream os;
@@ -322,9 +280,9 @@ WhatIfResult what_if_policy(const obs::EpisodeBundle& bundle, int policy) {
   for (const auto& p : bundle.preventions) {
     // Companion scalings are policy-independent; only the initial
     // ranked walk and validation fallbacks consult the mode.
-    if (p.phase == 1) continue;
-    const int cf = decide_applied(policy, p.metric_kind, p.scale_possible,
-                                  p.migrate_possible);
+    if (static_cast<PreventionPhase>(p.phase) == PreventionPhase::kCompanion)
+      continue;
+    const int cf = replayed_remedy(p, policy);
     ++res.compared;
     res.decisions.emplace_back(p.applied, cf);
     if (cf != p.applied) {

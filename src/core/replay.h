@@ -84,16 +84,17 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
 ///  * abnormal: score > 0, against the captured flag.
 ///  * mode rows: argmax of each captured per-attribute predicted
 ///    distribution, against the captured mode bin.
-///  * raw alert: abnormal && max L_i >= alert_min_top_impact.
+///  * raw alert: passes_alert_gate, the controller's own gate.
 ///  * confirmed: a fresh k-of-W AlarmFilter seeded from the captured
 ///    pre-context (FlightRecorder checks pre_context_ticks >= W, so the
 ///    window is fully determined from the filter-warm tick onward).
-///  * diagnosis: the ranking is the positive-impact prefix of the
-///    stable impact sort (Classifier::ranked_attributes order); it is
-///    re-ranked from the captured impacts only when the diagnosis tick
-///    is a confirming one (reactive diagnoses use other impacts).
-///  * prevention: each attempt's applied action re-derived from the
-///    policy mode + the captured feasibility flags.
+///  * diagnosis: the ranking is a positive non-increasing prefix; it is
+///    re-ranked by Classifier::attribution_ranking from the captured
+///    impacts only when the diagnosis tick is a confirming one
+///    (reactive diagnoses use other impacts).
+///  * prevention: each attempt's applied action re-derived by
+///    prevention_policy from the policy mode and the captured
+///    feasibility flags.
 struct EpisodeReplayResult {
   bool ok = false;
   std::size_t ticks_checked = 0;
@@ -113,8 +114,9 @@ struct EpisodeReplayResult {
 /// Re-executes one flight-recorder bundle and verifies bit-identity.
 EpisodeReplayResult replay_episode(const obs::EpisodeBundle& bundle);
 
-/// Counterfactual: the bundle's prevention decisions re-derived under
-/// `policy` (PreventionMode as int, core/prevention.h order).
+/// Counterfactual: the bundle's prevention decisions re-derived by
+/// prevention_policy under `policy` (PreventionMode as int,
+/// core/prevention.h order).
 struct WhatIfResult {
   int policy = 0;
   std::size_t compared = 0;  ///< initial/fallback attempts re-derived

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/analyze_annotations.h"
@@ -105,6 +106,11 @@ class Classifier {
 
   /// Attribute indices sorted by impact, most anomaly-relevant first.
   static std::vector<std::size_t> ranked_attributes(const Classification& c);
+  /// The attribution cause inference acts on: the prefix of the
+  /// ranked_attributes() order (a stable sort: ties keep attribute
+  /// order) whose impacts are positive, at most `limit` long.
+  static std::vector<std::size_t> attribution_ranking(
+      std::span<const double> impacts, std::size_t limit);
 };
 
 }  // namespace prepare

@@ -19,6 +19,10 @@ const std::string& attribute_name(Attribute a) {
   return kNames[i];
 }
 
+std::vector<std::string> attribute_names() {
+  return {kNames.begin(), kNames.end()};
+}
+
 Attribute attribute_from_name(const std::string& name) {
   for (std::size_t i = 0; i < kAttributeCount; ++i)
     if (kNames[i] == name) return static_cast<Attribute>(i);

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstddef>
 #include <string>
+#include <vector>
 
 namespace prepare {
 
@@ -32,6 +33,9 @@ inline constexpr std::size_t kAttributeCount = 13;
 
 /// Short stable name ("cpu_util", "free_mem", ...) for CSV headers.
 const std::string& attribute_name(Attribute a);
+
+/// Every attribute name, in Attribute order (the per-VM feature names).
+std::vector<std::string> attribute_names();
 
 /// Reverse lookup; throws CheckFailure for unknown names.
 Attribute attribute_from_name(const std::string& name);

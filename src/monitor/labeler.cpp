@@ -18,6 +18,18 @@ std::vector<LabeledSample> Labeler::label(const MetricStore& store,
   return out;
 }
 
+void Labeler::label_rows(const MetricStore& store, const SloLog& slo,
+                         const std::string& vm_name, double t0, double t1,
+                         std::vector<std::vector<double>>* rows,
+                         std::vector<bool>* abnormal) {
+  rows->clear();
+  abnormal->clear();
+  for (const auto& s : label(store, slo, vm_name, t0, t1)) {
+    rows->emplace_back(s.values.begin(), s.values.end());
+    abnormal->push_back(s.abnormal);
+  }
+}
+
 std::vector<LabeledSample> Labeler::label_all(const MetricStore& store,
                                               const SloLog& slo,
                                               const std::string& vm_name) {

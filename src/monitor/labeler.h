@@ -32,6 +32,13 @@ class Labeler {
                                           const std::string& vm_name,
                                           double t0, double t1);
 
+  /// label() as the parallel feature rows and labels that
+  /// AnomalyPredictor::train takes; overwrites `rows` and `abnormal`.
+  static void label_rows(const MetricStore& store, const SloLog& slo,
+                         const std::string& vm_name, double t0, double t1,
+                         std::vector<std::vector<double>>* rows,
+                         std::vector<bool>* abnormal);
+
   /// Labels the full history of `vm_name`.
   static std::vector<LabeledSample> label_all(const MetricStore& store,
                                               const SloLog& slo,

@@ -30,6 +30,19 @@ std::size_t MetricStore::sample_count(const std::string& vm_name) const {
   return it->second.series[0].size();
 }
 
+std::size_t MetricStore::aligned_sample_count(
+    const std::vector<std::string>& vm_names) const {
+  PREPARE_CHECK(!vm_names.empty());
+  const std::size_t total = sample_count(vm_names[0]);
+  for (const auto& vm : vm_names) {
+    const std::size_t n = sample_count(vm);
+    PREPARE_CHECK(n == total)
+        << "unaligned sample histories: " << vm_names[0] << " has " << total
+        << " samples, " << vm << " has " << n;
+  }
+  return total;
+}
+
 const TimeSeries& MetricStore::series(const std::string& vm_name,
                                       Attribute a) const {
   return history_of(vm_name).series[static_cast<std::size_t>(a)];

@@ -22,6 +22,12 @@ class MetricStore {
   /// Number of samples stored for a VM (0 if unknown).
   std::size_t sample_count(const std::string& vm_name) const;
 
+  /// The common sample count of `vm_names` (non-empty), whose histories
+  /// an offline replay steps through index by index. Throws
+  /// CheckFailure naming both VMs and counts when two differ.
+  std::size_t aligned_sample_count(
+      const std::vector<std::string>& vm_names) const;
+
   /// All VM names seen so far, in first-seen order.
   const std::vector<std::string>& vm_names() const { return vm_names_; }
 

@@ -3,9 +3,11 @@
 // This binary replaces the global operator new/delete with counting
 // versions and asserts that warm AnomalyPredictor::predict_into calls
 // allocate nothing: the plain look-ahead, the scored horizon path taken
-// with an introspector attached, and decision-evidence capture. It is the
-// runtime twin of tools/prepare_analyze.py's hot-path allocation proof,
-// which needs libclang; this one runs with any compiler. No stage
+// with an introspector attached, and decision-evidence capture; and that
+// warm FlightRecorder::record_tick calls allocate nothing, into the ring
+// alone and into an open episode capture. It is the runtime twin of
+// tools/prepare_analyze.py's hot-path allocation proof, which needs
+// libclang; this one runs with any compiler. No stage
 // profiler is attached: a histogram's bucket vector may still grow the
 // first time a slow call lands in a new bucket (the instruments'
 // documented one-time exception in obs/metrics.cpp).
@@ -20,6 +22,7 @@
 
 #include "common/rng.h"
 #include "core/anomaly_predictor.h"
+#include "obs/flight_recorder.h"
 #include "obs/model_introspect.h"
 
 namespace {
@@ -141,6 +144,84 @@ TEST(AllocFree, EvidenceCaptureAllocatesNothing) {
   p.set_introspect(&introspect);
   EXPECT_EQ(steady_state_allocations(&p, /*with_horizon=*/false), 0u);
   EXPECT_EQ(steady_state_allocations(&p, /*with_horizon=*/true), 0u);
+}
+
+/// One VM's evidence: kFeatures attributes of 5 bins each and the
+/// paper's look-ahead of horizon slots, every value a distinct number.
+struct EvidenceBuffers {
+  static constexpr std::size_t kBins = 5;
+  std::vector<double> raw, impacts, dists, horizon;
+  std::vector<std::size_t> observed, modes;
+
+  EvidenceBuffers()
+      : raw(kFeatures, 1.0),
+        impacts(kFeatures, 0.25),
+        dists(kFeatures * kBins, 0.2),
+        horizon(kHorizon.value(), 0.5),
+        observed(kFeatures, 1),
+        modes(kFeatures, 2) {}
+
+  obs::EvidenceLayout layout() const {
+    obs::EvidenceLayout layout;
+    layout.attributes = kFeatures;
+    for (std::size_t a = 0; a <= kFeatures; ++a)
+      layout.offsets.push_back(a * kBins);
+    layout.attribute_names = feature_names();
+    layout.horizon_steps = kHorizon.value();
+    return layout;
+  }
+
+  obs::EvidenceFrame frame(double t) const {
+    obs::EvidenceFrame f;
+    f.t = t;
+    f.abnormal = true;
+    f.raw_alert = true;
+    f.score = 1.5;
+    f.decomposable = true;
+    f.raw = raw.data();
+    f.observed_row = observed.data();
+    f.mode_row = modes.data();
+    f.impacts = impacts.data();
+    f.dists = dists.data();
+    f.horizon_probs = horizon.data();
+    f.horizon_len = horizon.size();
+    return f;
+  }
+};
+
+/// Allocations made by `calls` record_tick calls after kWarm warm-up
+/// ones, starting at sim time `t0` (one tick per 5 s).
+std::size_t record_allocations(obs::FlightRecorder* recorder,
+                               std::size_t slot, const EvidenceBuffers& ev,
+                               double t0, int calls) {
+  for (int i = 0; i < kWarm; ++i)
+    recorder->record_tick(slot, ev.frame(t0 + 5.0 * i));
+  const std::size_t before = g_allocations.load();
+  for (int i = kWarm; i < kWarm + calls; ++i)
+    recorder->record_tick(slot, ev.frame(t0 + 5.0 * i));
+  return g_allocations.load() - before;
+}
+
+TEST(AllocFree, RecordTickIntoTheRingAllocatesNothing) {
+  obs::FlightRecorder recorder;
+  const EvidenceBuffers ev;
+  const std::size_t slot = recorder.register_vm("vm", ev.layout());
+  // Several times round the ring.
+  const int calls = static_cast<int>(3 * recorder.config().ring_ticks);
+  EXPECT_EQ(record_allocations(&recorder, slot, ev, 0.0, calls), 0u);
+  EXPECT_EQ(recorder.ticks_recorded(), static_cast<std::size_t>(kWarm + calls));
+}
+
+TEST(AllocFree, RecordTickIntoAnOpenCaptureAllocatesNothing) {
+  obs::FlightRecorder recorder;
+  const EvidenceBuffers ev;
+  const std::size_t slot = recorder.register_vm("vm", ev.layout());
+  record_allocations(&recorder, slot, ev, 0.0, kCalls);
+  recorder.episode_opened("vm", "vm#1", 500.0);
+  // Past max_bundle_ticks, so the truncation path is covered too.
+  const int calls = static_cast<int>(recorder.config().max_bundle_ticks);
+  EXPECT_EQ(record_allocations(&recorder, slot, ev, 505.0, calls), 0u);
+  EXPECT_GT(recorder.truncated_ticks_total(), 0u);
 }
 
 }  // namespace

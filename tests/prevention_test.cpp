@@ -1,7 +1,11 @@
 #include "core/prevention.h"
 
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "monitor/attributes.h"
 #include "sim/clock.h"
 #include "sim/cluster.h"
@@ -199,6 +203,146 @@ TEST_F(MigrationPreventionTest, NoTargetHostNoAction) {
   clock_.advance(Seconds{1.0});
   EXPECT_EQ(cluster_.host_of(*vm_), host_);
   EXPECT_GT(vm_->mem_alloc(), 512.0);
+}
+
+// A VM whose ranked metrics can never be acted on (network metrics
+// cannot be scaled and the spare host is full) used to warn once per
+// ranked metric per round. Each warning kind now fires once per VM, and
+// again only after an action fired for it; the EventLog keeps one
+// record per attempt.
+TEST_F(PreventionTest, StuckVmWarnsOncePerKindUntilAnActionFires) {
+  std::ostringstream captured;
+  const LogLevel saved_level = Logger::level();
+  Logger::set_level(LogLevel::kWarn);
+  Logger::set_sink(&captured);
+  const auto warnings = [&captured] {
+    std::size_t n = 0;
+    std::istringstream lines(captured.str());
+    for (std::string line; std::getline(lines, line);)
+      if (line.find("[warn] prevention") != std::string::npos) ++n;
+    return n;
+  };
+
+  cluster_.add_vm("blocker", 1.7, 3000.0, spare_);
+  record(0.0, 10.0);
+  const auto stuck = faulty({Attribute::kNetIn, Attribute::kNetOut});
+  for (double t : {0.0, 5.0, 10.0})
+    EXPECT_FALSE(actuator_->actuate(stuck, t));
+  const std::size_t stuck_warnings = warnings();
+  // 2 skipped migrations and 1 exhausted ranking per round.
+  const std::size_t stuck_records = log_.count_of(EventKind::kInfo);
+
+  // A memory scaling fires, its validation closes healthy, and the VM
+  // gets stuck again: both warnings are due once more.
+  EXPECT_TRUE(actuator_->actuate(faulty({Attribute::kFreeMem}), 15.0));
+  actuator_->on_sample(35.0, {});
+  ASSERT_FALSE(actuator_->validation_open("vm"));
+  EXPECT_FALSE(actuator_->actuate(stuck, 40.0));
+  const std::size_t rearmed_warnings = warnings();
+
+  Logger::set_sink(nullptr);
+  Logger::set_level(saved_level);
+  EXPECT_EQ(stuck_records, 9u);
+  EXPECT_EQ(stuck_warnings, 2u) << captured.str();
+  EXPECT_EQ(rearmed_warnings, 4u) << captured.str();
+}
+
+// The policy table: every mode x {cpu, memory, other} metric x scale /
+// migrate feasibility, with the remedy chosen and the order in which the
+// two attempts were consulted ("s" scale, "m" migrate). Recorded from
+// the actuator's decision switch before the policy became one function.
+TEST(PreventionPolicy, TableOfRemediesAndConsultationOrder) {
+  using M = PreventionMode;
+  using K = MetricKind;
+  using R = Remedy;
+  struct Row {
+    M mode;
+    K kind;
+    bool scale_ok, migrate_ok;
+    R remedy;
+    const char* consulted;
+  };
+  const Row table[] = {
+      {M::kScalingOnly, K::kCpu, false, false, R::kNone, "s"},
+      {M::kScalingOnly, K::kCpu, false, true, R::kNone, "s"},
+      {M::kScalingOnly, K::kCpu, true, false, R::kScale, "s"},
+      {M::kScalingOnly, K::kCpu, true, true, R::kScale, "s"},
+      {M::kScalingOnly, K::kMemory, false, false, R::kNone, "s"},
+      {M::kScalingOnly, K::kMemory, false, true, R::kNone, "s"},
+      {M::kScalingOnly, K::kMemory, true, false, R::kScale, "s"},
+      {M::kScalingOnly, K::kMemory, true, true, R::kScale, "s"},
+      {M::kScalingOnly, K::kOther, false, false, R::kNone, ""},
+      {M::kScalingOnly, K::kOther, false, true, R::kNone, ""},
+      {M::kScalingOnly, K::kOther, true, false, R::kNone, ""},
+      {M::kScalingOnly, K::kOther, true, true, R::kNone, ""},
+      {M::kMigrationOnly, K::kCpu, false, false, R::kNone, "ms"},
+      {M::kMigrationOnly, K::kCpu, false, true, R::kMigrate, "m"},
+      {M::kMigrationOnly, K::kCpu, true, false, R::kScale, "ms"},
+      {M::kMigrationOnly, K::kCpu, true, true, R::kMigrate, "m"},
+      {M::kMigrationOnly, K::kMemory, false, false, R::kNone, "ms"},
+      {M::kMigrationOnly, K::kMemory, false, true, R::kMigrate, "m"},
+      {M::kMigrationOnly, K::kMemory, true, false, R::kScale, "ms"},
+      {M::kMigrationOnly, K::kMemory, true, true, R::kMigrate, "m"},
+      {M::kMigrationOnly, K::kOther, false, false, R::kNone, "m"},
+      {M::kMigrationOnly, K::kOther, false, true, R::kMigrate, "m"},
+      {M::kMigrationOnly, K::kOther, true, false, R::kNone, "m"},
+      {M::kMigrationOnly, K::kOther, true, true, R::kMigrate, "m"},
+      {M::kScalingThenMigration, K::kCpu, false, false, R::kNone, "sm"},
+      {M::kScalingThenMigration, K::kCpu, false, true, R::kMigrate, "sm"},
+      {M::kScalingThenMigration, K::kCpu, true, false, R::kScale, "s"},
+      {M::kScalingThenMigration, K::kCpu, true, true, R::kScale, "s"},
+      {M::kScalingThenMigration, K::kMemory, false, false, R::kNone, "sm"},
+      {M::kScalingThenMigration, K::kMemory, false, true, R::kMigrate, "sm"},
+      {M::kScalingThenMigration, K::kMemory, true, false, R::kScale, "s"},
+      {M::kScalingThenMigration, K::kMemory, true, true, R::kScale, "s"},
+      {M::kScalingThenMigration, K::kOther, false, false, R::kNone, "m"},
+      {M::kScalingThenMigration, K::kOther, false, true, R::kMigrate, "m"},
+      {M::kScalingThenMigration, K::kOther, true, false, R::kNone, "m"},
+      {M::kScalingThenMigration, K::kOther, true, true, R::kMigrate, "m"},
+  };
+  for (const auto phase : {PreventionPhase::kInitial, PreventionPhase::kFallback}) {
+    for (const Row& row : table) {
+      std::string consulted;
+      const Remedy remedy = prevention_policy(
+          row.mode, row.kind, phase,
+          [&] {
+            consulted += 's';
+            return row.scale_ok;
+          },
+          [&] {
+            consulted += 'm';
+            return row.migrate_ok;
+          });
+      const auto where = ::testing::Message()
+                         << "mode " << static_cast<int>(row.mode) << " kind "
+                         << static_cast<int>(row.kind) << " scale "
+                         << row.scale_ok << " migrate " << row.migrate_ok;
+      EXPECT_EQ(remedy, row.remedy) << where;
+      EXPECT_EQ(consulted, row.consulted) << where;
+    }
+  }
+}
+
+TEST(PreventionPolicy, CompanionIsAlwaysAScaling) {
+  for (const auto mode :
+       {PreventionMode::kScalingOnly, PreventionMode::kMigrationOnly,
+        PreventionMode::kScalingThenMigration}) {
+    for (const bool scale_ok : {false, true}) {
+      std::string consulted;
+      const Remedy remedy = prevention_policy(
+          mode, MetricKind::kMemory, PreventionPhase::kCompanion,
+          [&] {
+            consulted += 's';
+            return scale_ok;
+          },
+          [&] {
+            consulted += 'm';
+            return true;
+          });
+      EXPECT_EQ(remedy, scale_ok ? Remedy::kScale : Remedy::kNone);
+      EXPECT_EQ(consulted, "s");
+    }
+  }
 }
 
 class ReclaimTest : public PreventionTest {

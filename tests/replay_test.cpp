@@ -109,6 +109,53 @@ TEST(Replay, EmptyStoreThrows) {
   EXPECT_THROW(replay_trace(store, slo, ReplayConfig{}), CheckFailure);
 }
 
+// The leak trace's first two VMs, with `drop` samples cut from the end
+// of one of them.
+MetricStore unaligned_store(bool shorten_first, std::size_t drop) {
+  const MetricStore& full = leak_trace().store;
+  MetricStore store;
+  for (std::size_t v = 0; v < 2; ++v) {
+    const std::string& vm = full.vm_names()[v];
+    std::size_t n = full.sample_count(vm);
+    if ((v == 0) == shorten_first) n -= drop;
+    for (std::size_t i = 0; i < n; ++i)
+      store.record(vm, full.sample_time(vm, i), full.sample(vm, i));
+  }
+  return store;
+}
+
+std::string replay_failure(const MetricStore& store) {
+  try {
+    replay_trace(store, leak_trace().slo, ReplayConfig{});
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Replay, ShorterFirstVmIsRejectedNotTruncated) {
+  const auto store = unaligned_store(/*shorten_first=*/true, 3);
+  const auto& vms = store.vm_names();
+  const std::string what = replay_failure(store);
+  EXPECT_NE(what.find("unaligned"), std::string::npos) << what;
+  EXPECT_NE(what.find(vms[0]), std::string::npos) << what;
+  EXPECT_NE(what.find(vms[1]), std::string::npos) << what;
+  EXPECT_NE(what.find(std::to_string(store.sample_count(vms[0]))),
+            std::string::npos)
+      << what;
+}
+
+TEST(Replay, LongerFirstVmIsRejectedWithTheVmNames) {
+  const auto store = unaligned_store(/*shorten_first=*/false, 3);
+  const auto& vms = store.vm_names();
+  const std::string what = replay_failure(store);
+  EXPECT_NE(what.find("unaligned"), std::string::npos) << what;
+  EXPECT_NE(what.find(vms[1]), std::string::npos) << what;
+  EXPECT_NE(what.find(std::to_string(store.sample_count(vms[1]))),
+            std::string::npos)
+      << what;
+}
+
 // ------------------------------------------------ episode bundle replay
 
 // Runs one faulted PREPARE scenario with a flight recorder attached and
