@@ -9,6 +9,13 @@
 // the SLO-violated diagnosis, the per-round observe loop and the train
 // loop were merged into shared AnomalyManager helpers, and pin that
 // merge (and any later controller refactor) to the same decisions.
+//
+// The full-stack rows attach every sink at once (registry, span tracer,
+// introspector, flight recorder) and also pin the evidence and
+// introspection JSONL exports and every counter, gauge and sim-time
+// histogram (name plus value bits; the wall-time stage.* histograms are
+// left out). They were recorded before the decision reporting moved
+// into one DecisionSinks fan-out, and pin that move.
 #include <bit>
 #include <cstdint>
 #include <ostream>
@@ -18,6 +25,9 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/model_introspect.h"
 #include "obs/span_tracer.h"
 
 namespace prepare {
@@ -30,6 +40,7 @@ struct ScenarioPin {
   Scheme scheme;
   std::uint64_t seed;
   bool traced;
+  bool full_stack = false;  ///< registry + introspector + recorder too
 };
 
 struct Pinned {
@@ -38,6 +49,10 @@ struct Pinned {
   std::uint64_t violation_time;
   std::uint64_t violation_time_total;
   std::uint64_t spans;  ///< 0 for untraced runs
+  /// Full-stack rows only (0 otherwise).
+  std::uint64_t evidence = 0;
+  std::uint64_t introspection = 0;
+  std::uint64_t metrics = 0;
 };
 
 struct PinnedRun {
@@ -81,6 +96,18 @@ const PinnedRun kRuns[] = {
       FaultKind::kBottleneck, Scheme::kPrepare, 3, true},
      {0x8b008d19aecbadff, 1151, 0x0000000000000000,
       0x405d800000000000, 0xd51994ba181d8b58}},  // 0 s / 118 s
+    {{"rubis_leak_prepare_full_stack", AppKind::kRubis,
+      FaultKind::kMemoryLeak, Scheme::kPrepare, 2, true, true},
+     {0x6534a00d17ebb75d, 1017, 0x402e000000000000, 0x406ca00000000000,
+      0x6109e7d99c63b507, 0x607683e06d818024, 0x868f42850f89aa38,
+      0x483ab7841d7fb662}},  // 15 s / 229 s
+    // The reactive baseline drives no introspector or recorder: its
+    // evidence and introspection exports are empty.
+    {{"rubis_hog_reactive_full_stack", AppKind::kRubis,
+      FaultKind::kCpuHog, Scheme::kReactive, 3, true, true},
+     {0x5403b733a79633b5, 144, 0x4052c00000000000, 0x4078300000000000,
+      0xa9d38cb17c713c7e, 0xa8c7f832281a39c5, 0xa8c7f832281a39c5,
+      0x66eabe95ee58f83c}},  // 75 s / 387 s
 };
 
 /// FNV-1a over bytes.
@@ -103,8 +130,16 @@ Pinned run_pinned(const ScenarioPin& sp) {
   config.fault = sp.fault;
   config.scheme = sp.scheme;
   config.seed = sp.seed;
-  obs::SpanTracer tracer;
+  obs::MetricsRegistry registry;
+  obs::SpanTracer tracer(sp.full_stack ? &registry : nullptr);
+  obs::ModelIntrospect introspect(&registry);
+  obs::FlightRecorder recorder(&registry);
   if (sp.traced) config.tracer = &tracer;
+  if (sp.full_stack) {
+    config.metrics = &registry;
+    config.introspect = &introspect;
+    config.recorder = &recorder;
+  }
   const ScenarioResult r = run_scenario(config);
   Pinned got{};
   Digest events;
@@ -126,6 +161,33 @@ Pinned run_pinned(const ScenarioPin& sp) {
     spans.str(os.str());
     got.spans = spans.h;
   }
+  if (sp.full_stack) {
+    std::ostringstream evidence, introspection;
+    recorder.write_evidence_jsonl(evidence, "pin");
+    introspect.write_introspection_jsonl(introspection, "pin");
+    Digest d;
+    d.str(evidence.str());
+    got.evidence = d.h;
+    d = Digest{};
+    d.str(introspection.str());
+    got.introspection = d.h;
+    d = Digest{};
+    for (const auto& [name, counter] : registry.counters()) {
+      d.str(name);
+      d.word(std::bit_cast<std::uint64_t>(counter.value()));
+    }
+    for (const auto& [name, gauge] : registry.gauges()) {
+      d.str(name);
+      d.word(std::bit_cast<std::uint64_t>(gauge.value()));
+    }
+    for (const auto& [name, hist] : registry.histograms()) {
+      if (name.rfind("stage.", 0) == 0) continue;
+      d.str(name);
+      d.word(hist.count());
+      d.word(std::bit_cast<std::uint64_t>(hist.sum()));
+    }
+    got.metrics = d.h;
+  }
   return got;
 }
 
@@ -144,6 +206,9 @@ TEST_P(ScenarioPinTest, RunMatchesPinnedDigests) {
   EXPECT_EQ(got.violation_time, run.want.violation_time);
   EXPECT_EQ(got.violation_time_total, run.want.violation_time_total);
   EXPECT_EQ(got.spans, run.want.spans);
+  EXPECT_EQ(got.evidence, run.want.evidence);
+  EXPECT_EQ(got.introspection, run.want.introspection);
+  EXPECT_EQ(got.metrics, run.want.metrics);
 }
 
 INSTANTIATE_TEST_SUITE_P(
