@@ -39,6 +39,14 @@ std::size_t MetricStore::aligned_sample_count(
     PREPARE_CHECK(n == total)
         << "unaligned sample histories: " << vm_names[0] << " has " << total
         << " samples, " << vm << " has " << n;
+    for (std::size_t i = 0; i < total; ++i) {
+      const double t0 = sample_time(vm_names[0], i);
+      const double t = sample_time(vm, i);
+      PREPARE_CHECK(t == t0)
+          << "unaligned sample histories: sample " << i << " of "
+          << vm_names[0] << " is at t=" << t0 << ", of " << vm << " at t="
+          << t;
+    }
   }
   return total;
 }

@@ -24,7 +24,9 @@ class MetricStore {
 
   /// The common sample count of `vm_names` (non-empty), whose histories
   /// an offline replay steps through index by index. Throws
-  /// CheckFailure naming both VMs and counts when two differ.
+  /// CheckFailure naming both VMs when two differ in count (with both
+  /// counts) or in the time of any sample (with the first such index
+  /// and both times).
   std::size_t aligned_sample_count(
       const std::vector<std::string>& vm_names) const;
 

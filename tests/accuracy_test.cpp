@@ -96,6 +96,27 @@ TEST_F(AccuracyTest, UnalignedHistoriesRejected) {
   EXPECT_THROW(
       evaluate_accuracy(store, slo, {"a", "b"}, 5.0, AccuracyConfig{}),
       CheckFailure);
+  // Equal counts, but the second VM's samples from index 150 on are
+  // `shift` seconds late.
+  const auto shifted = [](double shift) {
+    const MetricStore& full = trace().store;
+    MetricStore out;
+    for (std::size_t v = 0; v < 2; ++v) {
+      const std::string& vm = full.vm_names()[v];
+      for (std::size_t i = 0; i < full.sample_count(vm); ++i)
+        out.record(vm,
+                   full.sample_time(vm, i) + (v == 1 && i >= 150 ? shift : 0),
+                   full.sample(vm, i));
+    }
+    return out;
+  };
+  const std::vector<std::string> all = vms();
+  const std::vector<std::string> two(all.begin(), all.begin() + 2);
+  EXPECT_NO_THROW(evaluate_accuracy(shifted(0.0), trace().slo, two, 15.0,
+                                    AccuracyConfig{}));
+  EXPECT_THROW(evaluate_accuracy(shifted(1.0), trace().slo, two, 15.0,
+                                 AccuracyConfig{}),
+               CheckFailure);
 }
 
 // Look-ahead sweep: accuracy stays defined and bounded at every horizon

@@ -111,15 +111,21 @@ TEST(Replay, EmptyStoreThrows) {
 
 // The leak trace's first two VMs, with `drop` samples cut from the end
 // of one of them.
-MetricStore unaligned_store(bool shorten_first, std::size_t drop) {
+// The first two VMs of the leak trace, one of them `drop` samples short
+// or, from sample `shift_from` on, with the second VM's timestamps
+// shifted by `shift` seconds (equal counts, misaligned times).
+MetricStore unaligned_store(bool shorten_first, std::size_t drop,
+                            std::size_t shift_from = 0, double shift = 0.0) {
   const MetricStore& full = leak_trace().store;
   MetricStore store;
   for (std::size_t v = 0; v < 2; ++v) {
     const std::string& vm = full.vm_names()[v];
     std::size_t n = full.sample_count(vm);
     if ((v == 0) == shorten_first) n -= drop;
-    for (std::size_t i = 0; i < n; ++i)
-      store.record(vm, full.sample_time(vm, i), full.sample(vm, i));
+    for (std::size_t i = 0; i < n; ++i) {
+      const double dt = v == 1 && i >= shift_from ? shift : 0.0;
+      store.record(vm, full.sample_time(vm, i) + dt, full.sample(vm, i));
+    }
   }
   return store;
 }
@@ -154,6 +160,25 @@ TEST(Replay, LongerFirstVmIsRejectedWithTheVmNames) {
   EXPECT_NE(what.find(std::to_string(store.sample_count(vms[1]))),
             std::string::npos)
       << what;
+}
+
+TEST(Replay, ShiftedTimestampsAreRejectedAtTheFirstBadIndex) {
+  const std::size_t from = 150;
+  const auto store = unaligned_store(/*shorten_first=*/false, /*drop=*/0,
+                                     from, /*shift=*/2.5);
+  const auto& vms = store.vm_names();
+  ASSERT_EQ(store.sample_count(vms[0]), store.sample_count(vms[1]));
+  const std::string what = replay_failure(store);
+  EXPECT_NE(what.find("unaligned"), std::string::npos) << what;
+  EXPECT_NE(what.find(vms[0]), std::string::npos) << what;
+  EXPECT_NE(what.find(vms[1]), std::string::npos) << what;
+  EXPECT_NE(what.find("sample " + std::to_string(from) + " "),
+            std::string::npos)
+      << what;
+  std::ostringstream times;
+  times << "t=" << store.sample_time(vms[0], from) << ", of " << vms[1]
+        << " at t=" << store.sample_time(vms[1], from);
+  EXPECT_NE(what.find(times.str()), std::string::npos) << what;
 }
 
 // ------------------------------------------------ episode bundle replay
