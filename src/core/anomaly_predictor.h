@@ -166,7 +166,6 @@ class AnomalyPredictor {
   double train_tpr() const { return train_tpr_; }
 
   const std::vector<std::string>& feature_names() const { return names_; }
-  std::size_t feature_count() const { return names_.size(); }
   const PredictorConfig& config() const { return config_; }
   const Classifier& classifier() const;
 

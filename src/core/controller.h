@@ -26,6 +26,7 @@
 #include "core/alarm_filter.h"
 #include "core/anomaly_predictor.h"
 #include "core/cause_inference.h"
+#include "core/decision_sinks.h"
 #include "core/prevention.h"
 #include "monitor/labeler.h"
 #include "monitor/metric_store.h"
@@ -40,7 +41,11 @@
 
 namespace prepare {
 
-/// Wiring shared by every controller: the black-box view of the system.
+/// Wiring shared by every controller: the black-box view of the system
+/// and the observability sinks. The sinks are optional and must outlive
+/// the controller; decisions reach them through the controller's
+/// DecisionSinks (core/decision_sinks.h), and all of them are driven
+/// only from the serial sections of a round (DESIGN.md section 10).
 struct ControllerContext {
   Application* app = nullptr;
   Cluster* cluster = nullptr;
@@ -48,37 +53,17 @@ struct ControllerContext {
   const MetricStore* store = nullptr;
   const SloLog* slo = nullptr;
   EventLog* log = nullptr;
-  /// Optional observability registry: when set, the controller times
-  /// every pipeline stage into stage.* histograms and counts alerts /
-  /// fallbacks / preventions (must outlive the controller).
+  /// Counters and the stage.* histograms.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional alert-lifecycle span tracer (must outlive the
-  /// controller). The controller drives it only from the serial
-  /// sections of a management round — never from the per-VM prediction
-  /// fan-out — so it needs no locking and a parallel run produces a
-  /// bit-identical span set (DESIGN.md section 10).
+  /// Alert-lifecycle spans.
   obs::SpanTracer* tracer = nullptr;
-  /// Optional model-introspection layer (must outlive the controller):
-  /// per-horizon prediction calibration, model-state probes, and drift
-  /// detection. Same confinement contract as the tracer — the per-VM
-  /// fan-out only fills Result::horizon_probs in its own result slot;
-  /// every introspector call happens in the serial sections, in
-  /// deterministic VM order. Only the PrepareController drives it (the
-  /// reactive baseline has no look-ahead to calibrate).
+  /// Prediction calibration, model-state probes and drift detection;
+  /// only the PrepareController drives it.
   obs::ModelIntrospect* introspect = nullptr;
-  /// Optional episode flight recorder (must outlive the controller).
-  /// Same confinement contract again: the controller registers every
-  /// trained VM, feeds one EvidenceFrame per (VM, round) from the
-  /// serial results loop in map (VM) order, and forwards the diagnosis
-  /// ranking; the actuator (which the controller hands the recorder to)
-  /// adds one PreventionEvidence per action attempt. Episode captures
-  /// open/close via the SpanTracer's lifecycle hooks, so the recorder
-  /// is inert unless `tracer` is also set. Only the PrepareController
-  /// drives it (the reactive baseline has no prediction evidence).
+  /// Episode evidence bundles; only the PrepareController drives it,
+  /// and it needs `tracer` (construction CHECK-fails without one).
   obs::FlightRecorder* recorder = nullptr;
-  /// Worker threads for the per-VM prediction fan-out (PREPARE keeps
-  /// one independent model per VM, so the Markov look-ahead + TAN
-  /// classification parallelize across VMs). 1 (default) runs fully
+  /// Worker threads for the per-VM prediction fan-out. 1 (default) runs
   /// sequentially with no pool; results are bit-identical either way
   /// because alerts are applied serially in VM order.
   std::size_t num_threads = 1;
@@ -119,35 +104,10 @@ class AnomalyManager {
   virtual std::string name() const = 0;
 
  protected:
-  using PredictorMap = std::map<std::string, AnomalyPredictor>;
-
   std::vector<std::string> vm_names() const;
 
-  /// Trains every VM's predictor on its labeled history over [t0, t1];
-  /// VMs without history stay untrained. Returns the trained VMs in map
-  /// order.
-  std::vector<std::string> train_predictors(PredictorMap* predictors,
-                                            double t0, double t1) const;
-  /// One round's observations: every VM's newest sample goes into the
-  /// workload-change detectors (timed into `stage`) and, once `trained`,
-  /// into its trained predictor's Markov context, and the SLO state
-  /// into the span tracer.
-  void observe_round(double now, bool trained, CauseInference* inference,
-                     obs::Histogram* stage, PredictorMap* predictors) const;
-  /// The diagnosis once the SLO is violated: every trained VM that
-  /// classifies abnormal with attribution evidence (top L_i at least
-  /// `min_top_impact`); if none qualifies, the single highest-scoring
-  /// trained VM with no open validation (the paper always intervenes
-  /// once a violation is detected). Every VM that still classifies
-  /// abnormal joins `unhealthy` — otherwise a drifting pick would
-  /// bogusly mark earlier preventions as effective mid-violation — and
-  /// so does every diagnosed VM. Opens a reactive span per diagnosed VM.
-  std::map<std::string, Classification> diagnose_violation(
-      double now, const PredictorMap& predictors,
-      const PreventionActuator& actuator, double min_top_impact,
-      std::set<std::string>* unhealthy) const;
-
   ControllerContext ctx_;
+  DecisionSinks sinks_;
 };
 
 class NoInterventionManager : public AnomalyManager {
@@ -157,7 +117,57 @@ class NoInterventionManager : public AnomalyManager {
   std::string name() const override { return "without-intervention"; }
 };
 
-class PrepareController : public AnomalyManager {
+/// What the two intervening schemes share: one predictor per VM, cause
+/// inference, the prevention actuator, and the steps of a round around
+/// them.
+class InterveningManager : public AnomalyManager {
+ public:
+  InterveningManager(ControllerContext ctx,
+                     PrepareConfig config = PrepareConfig());
+
+  bool trained() const { return trained_; }
+  const PrepareConfig& config() const { return config_; }
+  const PreventionActuator& actuator() const { return actuator_; }
+  const CauseInference& inference() const { return inference_; }
+
+ protected:
+  /// Trains every VM's predictor on its labeled history over [t0, t1];
+  /// VMs without history stay untrained. Returns the trained VMs in map
+  /// order.
+  std::vector<std::string> train_predictors(double t0, double t1);
+  /// One round's observations: every VM's newest sample goes into the
+  /// workload-change detectors and, once trained, into its trained
+  /// predictor's Markov context, and the SLO state into the spine.
+  void observe_round(double now);
+  /// The diagnosis once the SLO is violated: every trained VM that
+  /// classifies abnormal with attribution evidence (top L_i at least
+  /// alert_min_top_impact); if none qualifies, the single
+  /// highest-scoring trained VM with no open validation (the paper
+  /// always intervenes once a violation is detected). Every VM that
+  /// still classifies abnormal joins `unhealthy` — otherwise a drifting
+  /// pick would bogusly mark earlier preventions as effective
+  /// mid-violation — and so does every diagnosed VM.
+  std::map<std::string, Classification> diagnose_violation(
+      double now, std::set<std::string>* unhealthy);
+  /// Validates earlier preventions against `unhealthy`, then diagnoses
+  /// `alerting` (asking whether the workload changed when
+  /// `workload_check`), reports the diagnosis and acts on it.
+  void validate_and_act(double now, const std::set<std::string>& unhealthy,
+                        const std::map<std::string, Classification>& alerting,
+                        bool workload_check);
+
+  PrepareConfig config_;
+  bool trained_ = false;
+  std::map<std::string, AnomalyPredictor> predictors_;
+  CauseInference inference_;
+  PreventionActuator actuator_;
+  obs::StageProfiler profiler_;
+  // Stage timers (null = uninstrumented).
+  obs::Histogram* stage_cause_inference_ = nullptr;
+  obs::Histogram* stage_prevention_ = nullptr;
+};
+
+class PrepareController : public InterveningManager {
  public:
   PrepareController(ControllerContext ctx,
                     PrepareConfig config = PrepareConfig());
@@ -166,30 +176,17 @@ class PrepareController : public AnomalyManager {
   void on_sample(double now) override;
   std::string name() const override { return "prepare"; }
 
-  bool trained() const { return trained_; }
-  const PrepareConfig& config() const { return config_; }
-  const PreventionActuator& actuator() const { return actuator_; }
-  const CauseInference& inference() const { return inference_; }
-
   // Counters for experiments / tests.
-  std::size_t raw_alerts() const { return raw_alerts_; }
-  std::size_t confirmed_alerts() const { return confirmed_alerts_; }
-  std::size_t reactive_fallbacks() const { return reactive_fallbacks_; }
+  std::size_t raw_alerts() const {
+    return sinks_.count(DecisionKind::kRawAlert);
+  }
+  std::size_t confirmed_alerts() const {
+    return sinks_.count(DecisionKind::kConfirmed);
+  }
 
  private:
-  PrepareConfig config_;
   TickIndex lookahead_steps_;
-  bool trained_ = false;
-
-  PredictorMap predictors_;
   std::map<std::string, AlarmFilter> filters_;
-  /// Flight-recorder slot per registered VM (filled in train() when
-  /// ctx.recorder is set; the per-VM evidence layout depends on the
-  /// trained discretizer alphabets).
-  std::map<std::string, std::size_t> recorder_slots_;
-  CauseInference inference_;
-  PreventionActuator actuator_;
-  obs::StageProfiler profiler_;
   /// Workers for the per-VM fan-out; null when num_threads <= 1.
   std::unique_ptr<ThreadPool> pool_;
   /// Per-round fan-out state, kept across rounds so the steady state
@@ -199,41 +196,16 @@ class PrepareController : public AnomalyManager {
   std::vector<std::pair<const std::string*, const AnomalyPredictor*>>
       active_;
   std::vector<AnomalyPredictor::Result> results_;
-
-  std::size_t raw_alerts_ = 0;
-  std::size_t confirmed_alerts_ = 0;
-  std::size_t reactive_fallbacks_ = 0;
-
-  // Observability handles (null = uninstrumented).
   obs::Histogram* stage_alarm_filter_ = nullptr;
-  obs::Histogram* stage_cause_inference_ = nullptr;
-  obs::Histogram* stage_prevention_ = nullptr;
-  obs::Counter* raw_alerts_counter_ = nullptr;
-  obs::Counter* confirmed_alerts_counter_ = nullptr;
-  obs::Counter* reactive_fallbacks_counter_ = nullptr;
 };
 
-class ReactiveController : public AnomalyManager {
+class ReactiveController : public InterveningManager {
  public:
-  ReactiveController(ControllerContext ctx,
-                     PrepareConfig config = PrepareConfig());
+  using InterveningManager::InterveningManager;
 
   void train(double t0, double t1) override;
   void on_sample(double now) override;
   std::string name() const override { return "reactive"; }
-
-  bool trained() const { return trained_; }
-  const PreventionActuator& actuator() const { return actuator_; }
-
- private:
-  PrepareConfig config_;
-  bool trained_ = false;
-  PredictorMap predictors_;
-  CauseInference inference_;
-  PreventionActuator actuator_;
-  obs::StageProfiler profiler_;
-  obs::Histogram* stage_cause_inference_ = nullptr;
-  obs::Histogram* stage_prevention_ = nullptr;
 };
 
 }  // namespace prepare

@@ -75,30 +75,14 @@ struct ScenarioConfig {
   /// any thread count; only wall-clock stage histograms differ.
   std::size_t num_threads = 1;
 
-  /// Optional observability registry. When set, the run publishes
-  /// run.* / sim.* / controller.* / prevention.* metrics and times all
-  /// seven pipeline stages into stage.<name>.seconds histograms; when
-  /// null (default) no instrumentation code runs at all. Must outlive
-  /// the run; pass a freshly reset() registry per repeat to keep runs
-  /// separable.
+  /// Optional observability sinks (ControllerContext has what each
+  /// is). Each must outlive the run, and each holds per-run state: pass
+  /// a fresh tracer, introspector and recorder, and a reset() registry,
+  /// per repeat. With no registry no instrumentation code runs at all.
+  /// The run finishes the tracer, introspector and recorder at its end.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional alert-lifecycle span tracer (obs/span_tracer.h). The run
-  /// drives it through the controller and closes every still-open
-  /// episode (finish) when the simulation ends. Must outlive the run;
-  /// pass a fresh tracer per repeat — episodes are per-run.
   obs::SpanTracer* tracer = nullptr;
-  /// Optional model-introspection layer (obs/model_introspect.h):
-  /// per-horizon prediction calibration, model-state probes, and drift
-  /// detection, driven by the prepare controller and finalized when the
-  /// simulation ends. Must outlive the run; pass a fresh introspector
-  /// per repeat — calibration state is per-run.
   obs::ModelIntrospect* introspect = nullptr;
-  /// Optional episode flight recorder (obs/flight_recorder.h): per-VM
-  /// decision-evidence rings flushed into forensic episode bundles on
-  /// episode close, driven by the prepare controller (through the
-  /// tracer's lifecycle hooks — set `tracer` too or the recorder stays
-  /// inert) and finalized when the simulation ends. Must outlive the
-  /// run; pass a fresh recorder per repeat — bundles are per-run.
   obs::FlightRecorder* recorder = nullptr;
 };
 

@@ -5,42 +5,28 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "common/logging.h"
 
 namespace prepare {
 
 PreventionActuator::PreventionActuator(Hypervisor* hypervisor,
                                        Cluster* cluster,
                                        const MetricStore* store,
-                                       EventLog* log,
-                                       PreventionConfig config,
-                                       obs::MetricsRegistry* metrics,
-                                       obs::SpanTracer* tracer,
-                                       obs::FlightRecorder* recorder)
+                                       DecisionSinks* sinks,
+                                       PreventionConfig config)
     : hypervisor_(hypervisor),
       cluster_(cluster),
       store_(store),
-      log_(log),
-      config_(config),
-      tracer_(tracer),
-      recorder_(recorder),
-      actions_counter_(obs::counter(metrics, "prevention.actions_total")),
-      validations_failed_counter_(
-          obs::counter(metrics, "prevention.validations_failed_total")),
-      reclaims_counter_(obs::counter(metrics, "prevention.reclaims_total")),
-      migrations_skipped_counter_(
-          obs::counter(metrics, "prevention.migrations_skipped_total")) {
+      sinks_(sinks),
+      config_(config) {
   PREPARE_CHECK(hypervisor != nullptr);
   PREPARE_CHECK(cluster != nullptr);
   PREPARE_CHECK(store != nullptr);
-  PREPARE_CHECK(log != nullptr);
+  PREPARE_CHECK(sinks != nullptr);
+  sinks_->declare({DecisionKind::kActionFired, DecisionKind::kMigrationSkipped,
+                   DecisionKind::kValidationFailed, DecisionKind::kReclaim});
   for (const auto& vm : cluster_->vms())
     baseline_.emplace(vm->name(),
                       std::make_pair(vm->cpu_alloc(), vm->mem_alloc()));
-}
-
-bool PreventionActuator::has_baseline(const std::string& vm_name) const {
-  return baseline_.count(vm_name) != 0;
 }
 
 MetricKind metric_kind(Attribute a) {
@@ -114,16 +100,11 @@ bool PreventionActuator::try_migrate(Vm* vm, double now) {
   const auto target = migration_target(*vm, now);
   if (!target) return false;
   if (target->host == nullptr) {
-    log_->record(now, EventKind::kInfo, vm->name(),
-                 "migration skipped: no host with desired resources");
-    obs::inc(migrations_skipped_counter_);
-    if (warned_[vm->name()].insert(Warning::kNoHost).second) {
-      PREPARE_WARN("prevention")
-          << "migration of " << vm->name() << " at t=" << now
-          << " skipped: no host fits cpu=" << target->cpu
-          << " mem=" << target->mem
-          << " (not repeated for this VM until an action fires)";
-    }
+    sinks_->emit({.kind = DecisionKind::kMigrationSkipped,
+                  .t = now,
+                  .vm = &vm->name(),
+                  .cpu = target->cpu,
+                  .mem = target->mem});
     return false;
   }
   if (!hypervisor_->migrate(vm, target->host, target->cpu, target->mem))
@@ -163,33 +144,26 @@ bool PreventionActuator::apply_action(Vm* vm, Attribute a, double now,
         migrated = try_migrate(vm, now);
         return *migrated;
       });
-  if (recorder_ != nullptr) {
-    obs::PreventionEvidence ev;
-    ev.t = now;
-    ev.phase = static_cast<int>(phase);
-    ev.attribute = static_cast<std::size_t>(a);
-    ev.metric_kind = static_cast<int>(kind);
-    ev.scale_possible = scaled ? *scaled : probe_can_scale(*vm, kind);
-    ev.migrate_possible = migrated ? *migrated : probe_can_migrate(*vm, now);
-    ev.applied = static_cast<int>(applied);
-    recorder_->record_prevention(vm->name(), ev);
-  }
+  obs::PreventionEvidence ev;
+  ev.t = now;
+  ev.phase = static_cast<int>(phase);
+  ev.attribute = static_cast<std::size_t>(a);
+  ev.metric_kind = static_cast<int>(kind);
+  ev.scale_possible = scaled ? *scaled : probe_can_scale(*vm, kind);
+  ev.migrate_possible = migrated ? *migrated : probe_can_migrate(*vm, now);
+  ev.applied = static_cast<int>(applied);
+  sinks_->emit({.kind = DecisionKind::kAttempt,
+                .t = now,
+                .vm = &vm->name(),
+                .attempt = &ev});
   return applied != Remedy::kNone;
 }
 
-void PreventionActuator::report_action(const std::string& vm, double now,
-                                       const std::string& detail) {
-  ++actions_fired_;
-  obs::inc(actions_counter_);
-  log_->record(now, EventKind::kPrevention, vm, detail);
-  if (tracer_ != nullptr) tracer_->prevention_issued(vm, now, detail);
+void PreventionActuator::fire(const std::string& vm, double now,
+                              const std::string& action) {
+  sinks_->emit(
+      {.kind = DecisionKind::kActionFired, .t = now, .vm = &vm, .action = &action});
   last_action_time_[vm] = now;
-  warned_.erase(vm);
-}
-
-void PreventionActuator::report_escalation(const std::string& vm, double now,
-                                           const char* reason) {
-  if (tracer_ != nullptr) tracer_->escalated(vm, now, reason);
 }
 
 bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
@@ -204,7 +178,7 @@ bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
     if (!apply_action(vm, a, now, PreventionPhase::kInitial)) continue;
     std::ostringstream detail;
     detail << "acted on " << attribute_name(a) << " (rank " << i << ")";
-    report_action(faulty.vm, now, detail.str());
+    fire(faulty.vm, now, detail.str());
     PendingValidation pv;
     pv.action_time = now;
     pv.acted = a;
@@ -225,9 +199,8 @@ bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
         if (other == MetricKind::kOther || other == primary) continue;
         if (apply_action(vm, faulty.ranked[j], now,
                          PreventionPhase::kCompanion)) {
-          report_action(faulty.vm, now,
-                        "companion action on " +
-                            attribute_name(faulty.ranked[j]));
+          fire(faulty.vm, now,
+               "companion action on " + attribute_name(faulty.ranked[j]));
           pv.next_index = j + 1;
         }
         break;
@@ -236,15 +209,8 @@ bool PreventionActuator::actuate(const Diagnosis::FaultyVm& faulty,
     pending_[faulty.vm] = std::move(pv);
     return true;
   }
-  log_->record(now, EventKind::kInfo, faulty.vm,
-               "no applicable prevention action");
-  if (warned_[faulty.vm].insert(Warning::kNoAction).second) {
-    PREPARE_WARN("prevention")
-        << "no applicable action for " << faulty.vm << " at t=" << now
-        << " (every ranked metric exhausted; not repeated for this VM "
-           "until an action fires)";
-  }
-  report_escalation(faulty.vm, now, "no applicable prevention action");
+  sinks_->emit(
+      {.kind = DecisionKind::kNoApplicableAction, .t = now, .vm = &faulty.vm});
   return false;
 }
 
@@ -264,9 +230,8 @@ void PreventionActuator::on_sample(double now,
       continue;
     }
     if (unhealthy.count(vm_name) == 0) {
-      log_->record(now, EventKind::kValidation, vm_name,
-                   "prevention effective: alerts cleared");
-      if (tracer_ != nullptr) tracer_->validated(vm_name, now);
+      sinks_->emit(
+          {.kind = DecisionKind::kValidated, .t = now, .vm = &vm_name});
       it = pending_.erase(it);
       continue;
     }
@@ -278,16 +243,11 @@ void PreventionActuator::on_sample(double now,
     const double denom = std::max(std::abs(before), 1e-6);
     const bool responded =
         std::abs(after - before) / denom >= config_.min_relative_change;
-    ++validations_failed_;
-    obs::inc(validations_failed_counter_);
-    PREPARE_INFO("prevention")
-        << vm_name << " still unhealthy at t=" << now << " after acting on "
-        << attribute_name(pv.acted) << "; trying next ranked metric";
-    std::ostringstream detail;
-    detail << "still unhealthy after acting on "
-           << attribute_name(pv.acted)
-           << (responded ? " (metric responded)" : " (no metric response)");
-    log_->record(now, EventKind::kValidation, vm_name, detail.str());
+    sinks_->emit({.kind = DecisionKind::kValidationFailed,
+                  .t = now,
+                  .vm = &vm_name,
+                  .metric = pv.acted,
+                  .responded = responded});
 
     // Try the next ranked metric, skipping non-actionable ones.
     Vm* vm = cluster_->find_vm(vm_name);
@@ -296,7 +256,7 @@ void PreventionActuator::on_sample(double now,
       const Attribute next = pv.ranked[pv.next_index++];
       if (vm != nullptr && !vm->migrating() &&
           apply_action(vm, next, now, PreventionPhase::kFallback)) {
-        report_action(vm_name, now, "fallback action on " + attribute_name(next));
+        fire(vm_name, now, "fallback action on " + attribute_name(next));
         pv.action_time = now;
         pv.acted = next;
         pv.lookback_mean = lookback_mean(vm_name, next, now);
@@ -310,7 +270,8 @@ void PreventionActuator::on_sample(double now,
       // Ranking exhausted: close the record so a later confirmed alert
       // can retry from the top (e.g. scale further as a leak keeps
       // growing).
-      report_escalation(vm_name, now, "ranking exhausted");
+      sinks_->emit(
+          {.kind = DecisionKind::kRankingExhausted, .t = now, .vm = &vm_name});
       it = pending_.erase(it);
     }
   }
@@ -352,10 +313,10 @@ void PreventionActuator::maybe_reclaim(double now,
       const bool scaled = cpu ? hypervisor_->scale_cpu(vm, target)
                               : hypervisor_->scale_memory(vm, target);
       if (!scaled) return;
-      log_->record(now, EventKind::kInfo, vm_name,
-                   cpu ? "elastic reclaim: cpu scaled down"
-                       : "elastic reclaim: memory scaled down");
-      obs::inc(reclaims_counter_);
+      sinks_->emit({.kind = DecisionKind::kReclaim,
+                    .t = now,
+                    .vm = &vm_name,
+                    .metric = cpu ? Attribute::kCpuUtil : Attribute::kMemUtil});
       last_action_time_[vm_name] = now;
     };
     reclaim(MetricKind::kCpu);

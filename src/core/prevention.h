@@ -27,12 +27,9 @@
 #include <vector>
 
 #include "core/cause_inference.h"
+#include "core/decision_sinks.h"
 #include "monitor/attributes.h"
 #include "monitor/metric_store.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/span_tracer.h"
-#include "sim/event_log.h"
 #include "sim/hypervisor.h"
 
 namespace prepare {
@@ -129,18 +126,12 @@ struct PreventionConfig {
 
 class PreventionActuator {
  public:
-  /// `metrics` (optional) receives prevention.* counters; `tracer`
-  /// (optional) receives the prevention-side episode transitions
-  /// (prevention_issued / validated / escalated); `recorder` (optional)
-  /// receives one PreventionEvidence per action attempt (including
-  /// failed ones) so episode bundles carry every prevention decision
-  /// input. All must outlive the actuator.
+  /// Every decision (each attempt, including failed ones, each fired
+  /// action, each validation verdict) is reported to `sinks`, which
+  /// must outlive the actuator.
   PreventionActuator(Hypervisor* hypervisor, Cluster* cluster,
-                     const MetricStore* store, EventLog* log,
-                     PreventionConfig config = PreventionConfig(),
-                     obs::MetricsRegistry* metrics = nullptr,
-                     obs::SpanTracer* tracer = nullptr,
-                     obs::FlightRecorder* recorder = nullptr);
+                     const MetricStore* store, DecisionSinks* sinks,
+                     PreventionConfig config = PreventionConfig());
 
   /// Triggers a prevention for one diagnosed faulty VM. Returns true if
   /// an action was fired. No-op while a validation for that VM is open.
@@ -152,18 +143,16 @@ class PreventionActuator {
 
   /// Whether a validation is currently open for the VM.
   bool validation_open(const std::string& vm_name) const;
-  /// Whether any validation is open (used to serialize the reactive
-  /// diagnose-act-validate loop: one hypothesis at a time).
-  bool any_validation_open() const { return !pending_.empty(); }
-
-  /// Baseline (construction-time) allocation of a VM, if known.
-  bool has_baseline(const std::string& vm_name) const;
 
   const PreventionConfig& config() const { return config_; }
 
   // Counters for experiments / tests.
-  std::size_t actions_fired() const { return actions_fired_; }
-  std::size_t validations_failed() const { return validations_failed_; }
+  std::size_t actions_fired() const {
+    return sinks_->count(DecisionKind::kActionFired);
+  }
+  std::size_t validations_failed() const {
+    return sinks_->count(DecisionKind::kValidationFailed);
+  }
 
  private:
   struct PendingValidation {
@@ -182,13 +171,12 @@ class PreventionActuator {
   struct MigrationTarget { Host* host; double cpu, mem; };
 
   /// Runs the prevention policy for `vm` keyed on attribute `a` and
-  /// records the attempt into the flight recorder; returns false if no
-  /// remedy could be applied.
+  /// reports the attempt; returns false if no remedy could be applied.
   bool apply_action(Vm* vm, Attribute a, double now, PreventionPhase phase);
   bool try_scale(Vm* vm, MetricKind kind);
   bool try_migrate(Vm* vm, double now);
   /// Side-effect-free feasibility probes over the same sizing as
-  /// try_scale / try_migrate. They fill only the recorder evidence flags
+  /// try_scale / try_migrate. They fill only the attempt evidence flags
   /// the policy did not consult (what-if replay needs both flags).
   bool probe_can_scale(const Vm& vm, MetricKind kind) const;
   bool probe_can_migrate(const Vm& vm, double now) const;
@@ -199,41 +187,22 @@ class PreventionActuator {
   /// Null while the VM is in its migration cooldown.
   std::optional<MigrationTarget> migration_target(const Vm& vm,
                                                   double now) const;
-  /// One fired action: tally, counter, EventLog record, tracer span, and
-  /// the VM's last-action time; re-arms the VM's warnings.
-  void report_action(const std::string& vm, double now,
-                     const std::string& detail);
-  /// An episode the actuator gives up on (tracer escalation).
-  void report_escalation(const std::string& vm, double now,
-                         const char* reason);
+  /// One fired action: reported, and the VM's last-action time.
+  void fire(const std::string& vm, double now, const std::string& action);
   double lookback_mean(const std::string& vm, Attribute a, double now) const;
   void maybe_reclaim(double now, const std::set<std::string>& unhealthy);
 
   Hypervisor* hypervisor_;
   Cluster* cluster_;
   const MetricStore* store_;
-  EventLog* log_;
+  DecisionSinks* sinks_;
   PreventionConfig config_;
-  obs::SpanTracer* tracer_;        ///< not owned; may be null
-  obs::FlightRecorder* recorder_;  ///< not owned; may be null
 
   std::map<std::string, PendingValidation> pending_;
   /// Baseline allocations (cpu cores, mem MB) snapshotted at construction.
   std::map<std::string, std::pair<double, double>> baseline_;
   std::map<std::string, double> last_action_time_;
   std::map<std::string, double> last_migration_time_;
-  /// Warnings already emitted per VM. Each kind warns once per VM until
-  /// an action fires for it, not once per ranked metric per round.
-  enum class Warning { kNoHost, kNoAction };
-  std::map<std::string, std::set<Warning>> warned_;
-  std::size_t actions_fired_ = 0;
-  std::size_t validations_failed_ = 0;
-
-  // Observability counters (null = uninstrumented).
-  obs::Counter* actions_counter_ = nullptr;
-  obs::Counter* validations_failed_counter_ = nullptr;
-  obs::Counter* reclaims_counter_ = nullptr;
-  obs::Counter* migrations_skipped_counter_ = nullptr;
 };
 
 }  // namespace prepare

@@ -8,6 +8,7 @@
 #include "common/units.h"
 #include "core/alarm_filter.h"
 #include "core/cause_inference.h"
+#include "core/decision_sinks.h"
 #include "core/prevention.h"
 #include "monitor/labeler.h"
 
@@ -70,17 +71,16 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
     filters.emplace(vm, AlarmFilter(config.filter_k, config.filter_w));
   }
 
-  // Replay.
+  // Replay. No event log, counters or actuator: only the tracer (if
+  // any) sees the decisions.
+  DecisionSinks sinks(nullptr, nullptr, config.tracer);
   ReplayReport report;
   double last_time = config.train_end;
   for (std::size_t i = 0; i < total; ++i) {
     const double t = store.sample_time(vm_names[0], i);
     if (t <= config.train_end) continue;
     last_time = t;
-    if (config.tracer != nullptr) {
-      config.tracer->observe_slo(t, slo.violated_at(t));
-      config.tracer->tick(t);
-    }
+    sinks.round(t, slo.violated_at(t));
     for (const auto& vm : vm_names) {
       auto& predictor = predictors.at(vm);
       const auto values = store.sample(vm, i);
@@ -98,21 +98,19 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
       alert.confirmed = confirmed;
       alert.score = cls.score;
       alert.top_metrics = faulty.ranked;
-      if (raw) ++report.raw_alerts;
+      if (raw)
+        sinks.emit({.kind = DecisionKind::kRawAlert, .t = t, .vm = &vm});
       if (confirmed) {
-        ++report.confirmed_alerts;
         if (report.first_confirmed < 0.0) report.first_confirmed = t;
-      }
-      if (config.tracer != nullptr) {
-        if (raw) config.tracer->raw_alert(vm, t);
-        if (confirmed) {
-          config.tracer->confirmed(vm, t);
-          config.tracer->cause_inferred(vm, t, cause_attribution(faulty));
-        }
+        sinks.emit({.kind = DecisionKind::kConfirmed, .t = t, .vm = &vm});
+        sinks.emit(
+            {.kind = DecisionKind::kCauseInferred, .t = t, .faulty = &faulty});
       }
       report.alerts.push_back(std::move(alert));
     }
   }
+  report.raw_alerts = sinks.count(DecisionKind::kRawAlert);
+  report.confirmed_alerts = sinks.count(DecisionKind::kConfirmed);
   if (config.tracer != nullptr) config.tracer->finish(last_time);
   return report;
 }

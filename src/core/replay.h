@@ -44,9 +44,8 @@ struct ReplayConfig {
   /// everything after is replayed.
   double train_end = 700.0;
   /// Optional alert-lifecycle tracer (must outlive the call). Replay
-  /// has no actuator, so episodes only reach raw_alert / confirmed /
-  /// cause_inferred before replay_trace() closes them at the end of the
-  /// trace — still enough for post-mortem lead-time analysis.
+  /// has no actuator, so episodes end at cause_inferred until the end
+  /// of the trace closes them: enough for lead-time post-mortems.
   obs::SpanTracer* tracer = nullptr;
 };
 

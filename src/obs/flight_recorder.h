@@ -202,7 +202,6 @@ class PREPARE_DRIVER_CONFINED FlightRecorder {
   /// Registers one VM and pre-sizes its evidence ring; returns the slot
   /// index record_tick() takes. Cold (train time, once per VM).
   std::size_t register_vm(const std::string& vm, EvidenceLayout layout);
-  std::size_t registered_vms() const { return vms_.size(); }
 
   /// Buffers one tick of evidence into the VM's ring and, while an
   /// episode capture is open, into the open bundle. The steady-state
@@ -248,7 +247,6 @@ class PREPARE_DRIVER_CONFINED FlightRecorder {
   // ---- introspection / export (quiescent: after the run) ----
 
   const std::vector<EpisodeBundle>& bundles() const { return bundles_; }
-  const DecisionConfig& decision_config() const { return decision_; }
   const FlightRecorderConfig& config() const { return config_; }
   std::size_t bundles_emitted() const { return bundles_.size(); }
   std::size_t dropped_total() const { return dropped_; }

@@ -2,9 +2,12 @@
 // through short fault scenarios.
 #include "core/controller.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "obs/flight_recorder.h"
 
 namespace prepare {
 namespace {
@@ -131,6 +134,27 @@ TEST(Controllers, RubisScenariosWork) {
     EXPECT_LT(prep.violation_time, none.violation_time * 0.5)
         << fault_kind_name(fault);
   }
+}
+
+// Evidence captures open and close on the span tracer's episode hooks,
+// so a PREPARE run with a recorder but no tracer could never emit a
+// bundle: it fails at construction. The reactive baseline drives no
+// recorder and ignores one.
+TEST(Controllers, RecorderWithoutTracerFailsLoudly) {
+  obs::FlightRecorder recorder;
+  ScenarioConfig config = base_config(Scheme::kPrepare);
+  config.run_end = 50.0;
+  config.recorder = &recorder;
+  try {
+    run_scenario(config);
+    ADD_FAILURE() << "a recorder without a tracer must CHECK-fail";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("span tracer"), std::string::npos)
+        << e.what();
+  }
+  config.scheme = Scheme::kReactive;
+  EXPECT_NO_THROW(run_scenario(config));
+  EXPECT_EQ(recorder.bundles_emitted(), 0u);
 }
 
 TEST(Controllers, ContextValidationThrowsOnNulls) {

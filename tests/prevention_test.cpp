@@ -21,7 +21,7 @@ class PreventionTest : public ::testing::Test {
     vm_ = cluster_.add_vm("vm", 1.0, 512.0, host_);
     hypervisor_ = std::make_unique<Hypervisor>(&clock_, &cluster_, &log_);
     actuator_ = std::make_unique<PreventionActuator>(
-        hypervisor_.get(), &cluster_, &store_, &log_, config);
+        hypervisor_.get(), &cluster_, &store_, &sinks_, config);
   }
 
   /// Appends a monitoring sample so validation windows have data.
@@ -42,6 +42,7 @@ class PreventionTest : public ::testing::Test {
   SimClock clock_;
   Cluster cluster_;
   EventLog log_;
+  DecisionSinks sinks_{&log_, nullptr, nullptr};
   MetricStore store_;
   Host* host_ = nullptr;
   Host* spare_ = nullptr;
