@@ -27,6 +27,19 @@ Enforced rules (each maps to a real bug class we care about):
   R8  locked-requires  a `..._locked(` helper declared in a header must
                        carry PREPARE_REQUIRES(mu) so the analysis checks
                        its callers actually hold the lock.
+  R9  one-decision-spine  in src/core/*.cpp, only the decision spine
+                       (decision_sinks.cpp) may write EventLog records
+                       (`log->record(` / `log_->record(`), drive SpanTracer
+                       lifecycle calls (raw_alert, reactive_alert,
+                       confirmed, cause_inferred, prevention_issued,
+                       validated, escalated, workload_change_suppressed,
+                       observe_slo), record recorder evidence
+                       (record_diagnosis / record_prevention) or bump a
+                       counter (`obs::inc(`). A decision reported by hand
+                       next to the spine drifts out of sync with the other
+                       channels. The one exemption is experiment.cpp's
+                       obs::inc of the run loop's own run.* tick and
+                       sample counters, which count no decision.
 
 Usage: check_invariants.py [PATHS...]   (default: src)
 Exits 0 when clean, 1 with one "path:line: [rule] message" per violation.
@@ -58,6 +71,15 @@ LOCKED_HELPER_RE = re.compile(r"\b\w+_locked\s*\(")
 # expression context immediately precedes it: return / assignment /
 # member access / nesting inside another call's argument list.
 LOCKED_CALL_PREFIX_RE = re.compile(r"(?:\breturn|=|\.|->|\(|,)\s*$")
+SPINE_CALL_RE = re.compile(
+    r"\blog_?\s*->\s*record\s*\("
+    r"|(?:\.|->)\s*(?:raw_alert|reactive_alert|confirmed|cause_inferred"
+    r"|prevention_issued|validated|escalated|workload_change_suppressed"
+    r"|observe_slo|record_diagnosis|record_prevention)\s*\("
+    r"|\bobs::inc\s*\(")
+SPINE_FILE = "decision_sinks.cpp"
+# (file name, call prefix) pairs R9 allows; see the docstring.
+SPINE_EXEMPT = {("experiment.cpp", "obs::inc")}
 
 
 def strip_line_comment(line: str) -> str:
@@ -136,6 +158,18 @@ def check_file(path: Path) -> list[tuple[Path, int, str, str]]:
                 (rel, lineno, "no-sleep-sync",
                  "sleeping is not synchronisation — a slow machine turns "
                  "this test flaky; join the thread or wait on a condition"))
+
+        if (path.suffix == ".cpp" and path.parent.name == "core"
+                and path.parent.parent.name == "src"
+                and path.name != SPINE_FILE
+                and (m := SPINE_CALL_RE.search(code))
+                and not any(path.name == f and m.group(0).startswith(c)
+                            for f, c in SPINE_EXEMPT)):
+            findings.append(
+                (rel, lineno, "one-decision-spine",
+                 f"`{m.group(0).strip()}` reports a decision by hand; emit "
+                 "a DecisionEvent through DecisionSinks "
+                 "(src/core/decision_sinks.h) instead"))
 
         if path.suffix == ".h" and (m := LOCKED_HELPER_RE.search(code)):
             prefix = code[:m.start()]
