@@ -125,10 +125,7 @@ class InterveningManager : public AnomalyManager {
   InterveningManager(ControllerContext ctx,
                      PrepareConfig config = PrepareConfig());
 
-  bool trained() const { return trained_; }
-  const PrepareConfig& config() const { return config_; }
   const PreventionActuator& actuator() const { return actuator_; }
-  const CauseInference& inference() const { return inference_; }
 
  protected:
   /// Trains every VM's predictor on its labeled history over [t0, t1];

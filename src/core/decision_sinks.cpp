@@ -76,22 +76,20 @@ void DecisionSinks::emit(const DecisionEvent& e) {
   const auto k = static_cast<std::size_t>(e.kind);
   ++tally_[k];
   obs::inc(counters_[k]);
-  // Log lines go with the event log: an offline replay writes neither.
-  const bool logs = log_ != nullptr;
   switch (e.kind) {
     case DecisionKind::kRawAlert:
       record(e.t, EventKind::kAlert, *e.vm, "predicted anomaly");
       if (tracer_ != nullptr) tracer_->raw_alert(*e.vm, e.t);
       break;
     case DecisionKind::kConfirmed:
-      if (logs)
+      if (log_ != nullptr)
         PREPARE_INFO("prepare") << "confirmed predicted anomaly on " << *e.vm
                                 << " at t=" << e.t;
       record(e.t, EventKind::kAlertConfirmed, *e.vm, "k-of-W confirmed");
       if (tracer_ != nullptr) tracer_->confirmed(*e.vm, e.t);
       break;
     case DecisionKind::kReactiveFallback:
-      if (logs)
+      if (log_ != nullptr)
         PREPARE_INFO("prepare") << "SLO violated at t=" << e.t
                                 << ": entering reactive fallback diagnosis";
       break;
@@ -99,14 +97,13 @@ void DecisionSinks::emit(const DecisionEvent& e) {
       if (tracer_ != nullptr) tracer_->reactive_alert(*e.vm, e.t);
       break;
     case DecisionKind::kWorkloadChange:
-      if (logs)
+      if (log_ != nullptr)
         PREPARE_INFO("prepare") << "change points on all components at t="
                                 << e.t << ": workload change suspected";
       record(e.t, EventKind::kInfo, "prepare",
              "change points on all components: workload change suspected");
-      // Not a VM fault: the episodes are dropped from the trace. The
-      // actuation still runs unchanged; suppression only concerns what
-      // is reported.
+      // Not a VM fault: the episodes leave the trace, but the actuation
+      // still runs unchanged.
       if (tracer_ != nullptr)
         for (const auto& faulty : e.diagnosis->faulty)
           tracer_->workload_change_suppressed(faulty.vm, e.t);
@@ -158,7 +155,7 @@ void DecisionSinks::emit(const DecisionEvent& e) {
       if (tracer_ != nullptr) tracer_->validated(*e.vm, e.t);
       break;
     case DecisionKind::kValidationFailed:
-      if (logs)
+      if (log_ != nullptr)
         PREPARE_INFO("prevention")
             << *e.vm << " still unhealthy at t=" << e.t << " after acting on "
             << attribute_name(e.metric) << "; trying next ranked metric";
@@ -182,14 +179,14 @@ void DecisionSinks::emit(const DecisionEvent& e) {
         const AnomalyPredictor& model = e.models->at(vm);
         if (model.discriminative()) {
           ++discriminative;
-        } else if (logs) {
+        } else if (log_ != nullptr) {
           PREPARE_INFO("prepare") << "model for " << vm
                                   << " is not discriminative (train TPR "
                                   << model.train_tpr()
                                   << "): its alerts are suppressed";
         }
       }
-      if (logs)
+      if (log_ != nullptr)
         PREPARE_INFO("prepare") << "trained " << e.trained->size()
                                 << " per-VM models over [" << e.t0 << ", "
                                 << e.t << "], " << discriminative

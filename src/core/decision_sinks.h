@@ -74,24 +74,16 @@ inline constexpr std::size_t kDecisionKinds =
 struct DecisionEvent {
   DecisionKind kind{};
   double t = 0.0;
-  /// The VM decided about; null for the round-level kinds (reactive
-  /// fallback, workload change, trained).
-  const std::string* vm = nullptr;
-  /// kActionFired: the action taken.
-  const std::string* action = nullptr;
-  /// kCauseInferred: the faulty VM and its ranked metrics.
-  const Diagnosis::FaultyVm* faulty = nullptr;
-  /// kWorkloadChange: the diagnosis whose episodes are dropped.
-  const Diagnosis* diagnosis = nullptr;
-  /// kAttempt: what the prevention policy looked at and applied.
-  const obs::PreventionEvidence* attempt = nullptr;
-  /// kValidationFailed: the acted metric, and whether it responded.
+  const std::string* vm = nullptr;  ///< null for the round-level kinds
+  const std::string* action = nullptr;               ///< kActionFired
+  const Diagnosis::FaultyVm* faulty = nullptr;       ///< kCauseInferred
+  const Diagnosis* diagnosis = nullptr;              ///< kWorkloadChange
+  const obs::PreventionEvidence* attempt = nullptr;  ///< kAttempt
+  /// kValidationFailed: the acted metric, and whether it responded;
   /// kReclaim: kCpuUtil or kMemUtil, the idle resource scaled down.
   Attribute metric{};
   bool responded = false;
-  /// kMigrationSkipped: the landing allocation no host fits.
-  double cpu = 0.0;
-  double mem = 0.0;
+  double cpu = 0.0, mem = 0.0;  ///< kMigrationSkipped: the unfit landing
   /// kTrained: the VMs trained over [t0, t], and their models.
   double t0 = 0.0;
   const std::vector<std::string>* trained = nullptr;

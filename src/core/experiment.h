@@ -70,10 +70,7 @@ struct ScenarioConfig {
   /// vs. migration, i.e. Fig. 6/7 vs. Fig. 8/9).
   PrepareConfig prepare;
 
-  /// Worker threads for the controller's per-VM prediction fan-out
-  /// (ControllerContext::num_threads). Results are bit-identical for
-  /// any thread count; only wall-clock stage histograms differ.
-  std::size_t num_threads = 1;
+  std::size_t num_threads = 1;  ///< ControllerContext::num_threads
 
   /// Optional observability sinks (ControllerContext has what each
   /// is). Each must outlive the run, and each holds per-run state: pass

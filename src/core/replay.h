@@ -2,21 +2,17 @@
 //
 // Two replay granularities:
 //
-//  * replay_trace — runs the full per-VM prediction pipeline (train on
-//    the labeled prefix, then predict + k-of-W filter sample by sample)
-//    over a *recorded* run — e.g. one exported with monitor/trace_io.h —
-//    and returns the alert/diagnosis timeline, without a live cluster to
-//    actuate on. Useful for post-mortems and for tuning the predictor
-//    against archived production traces.
+//  * replay_trace — trains on the labeled prefix of a *recorded* run
+//    (e.g. one exported with monitor/trace_io.h), then predicts and
+//    k-of-W filters it sample by sample, reporting each decision through
+//    the live loop's DecisionSinks. There is no cluster to actuate on.
 //
-//  * replay_episode — deterministic counterfactual re-execution of one
-//    flight-recorder episode bundle (obs/flight_recorder.h): re-derives
-//    every decision in predict -> classify -> filter -> prevention from
+//  * replay_episode — re-derives every decision of one flight-recorder
+//    episode bundle (predict -> classify -> filter -> prevention) from
 //    the captured evidence alone and verifies each is *bit-identical*
-//    to what the live controller did. what_if_policy re-derives the
-//    prevention decisions under an overridden PreventionMode, answering
-//    "would PREPARE have migrated instead?" without re-running the
-//    simulation.
+//    to the live run. what_if_policy re-derives the prevention
+//    decisions under another PreventionMode ("would PREPARE have
+//    migrated instead?") without re-running the simulation.
 #pragma once
 
 #include <cstddef>
@@ -74,26 +70,12 @@ ReplayReport replay_trace(const MetricStore& store, const SloLog& slo,
 // ------------------------------------------------ episode bundle replay
 
 /// Outcome of re-executing one episode bundle. `ok` means every
-/// re-derivable decision matched the live run exactly:
-///
-///  * score: prior log-odds + sum of per-attribute L_i, summed
-///    left-to-right exactly as TanClassifier does under either
-///    structure (Eq. 1) — compared bitwise.
-///    Skipped when the bundle's classifier is not decomposable.
-///  * abnormal: score > 0, against the captured flag.
-///  * mode rows: argmax of each captured per-attribute predicted
-///    distribution, against the captured mode bin.
-///  * raw alert: passes_alert_gate, the controller's own gate.
-///  * confirmed: a fresh k-of-W AlarmFilter seeded from the captured
-///    pre-context (FlightRecorder checks pre_context_ticks >= W, so the
-///    window is fully determined from the filter-warm tick onward).
-///  * diagnosis: the ranking is a positive non-increasing prefix; it is
-///    re-ranked by Classifier::attribution_ranking from the captured
-///    impacts only when the diagnosis tick is a confirming one
-///    (reactive diagnoses use other impacts).
-///  * prevention: each attempt's applied action re-derived by
-///    prevention_policy from the policy mode and the captured
-///    feasibility flags.
+/// re-derivable decision matched the live run exactly: the score
+/// (prior + L_i summed in TanClassifier's order; skipped when not
+/// decomposable), the abnormal flag, each mode row, the raw alert gate,
+/// the k-of-W confirmation (from the filter-warm tick on), the
+/// diagnosis ranking (re-ranked only at a confirming tick) and each
+/// prevention attempt's remedy. DESIGN.md section 9 details each check.
 struct EpisodeReplayResult {
   bool ok = false;
   std::size_t ticks_checked = 0;

@@ -3,36 +3,22 @@
 // The SpanTracer (obs/span_tracer.h) records *that* an alert episode
 // moved through the pipeline; this class records *what the decisions
 // were computed from*. Per VM it keeps a fixed-capacity ring of the
-// last W ticks of decision evidence — the raw 13-attribute metric
-// vector, its discretized bins, the Markov-predicted final-step value
-// distributions, the TAN log-odds score with its per-attribute L_i
-// contributions, the alarm-filter raw/confirmed flags, and (when the
-// calibration stride sampled them) the per-horizon-step anomaly
-// probabilities. When a SpanTracer episode closes, the pre-alert ring
-// context plus every tick of the episode is flushed into a
-// self-contained *episode bundle*, together with the cause-inference
-// ranking and every prevention decision input. Bundles are exported as
-// trace schema v4 `episode_evidence` records (obs/trace_export.h) and
-// are complete enough that core/replay.h can re-run
-// predict -> classify -> filter -> prevention bit-identically offline —
-// the determinism proof that nothing the controller used is missing.
+// last W ticks of decision evidence (EvidenceTick). When a SpanTracer
+// episode closes, the pre-alert ring context plus every tick of the
+// episode is flushed into a self-contained *episode bundle*, together
+// with the cause-inference ranking and every prevention decision input.
+// Bundles are exported as schema-v4 `episode_evidence` records and are
+// complete enough that core/replay.h re-runs predict -> classify ->
+// filter -> prevention bit-identically offline.
 //
-// Threading and determinism contract: identical to the SpanTracer. The
-// recorder is PREPARE_DRIVER_CONFINED — the controller feeds it only
-// from the serial sections of a management round, in deterministic
-// (map) VM order, so a --threads 4 run produces byte-identical bundles
-// to --threads 1. The steady-state entry point record_tick() is
-// PREPARE_HOT: after register_vm() pre-sizes the ring (and
-// episode_opened() pre-sizes the open capture), it only copies into
-// capacity-steady storage — the analyzer proves it allocation-, lock-
-// and IO-free.
-//
-// Memory accounting (defaults): ring_ticks=32 frames/VM, one frame ~
-// 13 raw + 13 bins + 13 modes + 13 impacts + ~65 flattened dist
-// probabilities + 24 horizon slots ~= 1.2 KB, so ~40 KB per VM of ring
-// plus max_bundle_ticks frames per open capture; max_bundles caps the
-// per-run retained total and further episodes count into
-// recorder.dropped_total instead of growing without bound.
+// Threading and determinism contract: identical to the SpanTracer (fed
+// only through core/decision_sinks.h, in VM order), so bundles are
+// byte-identical for any --threads. The steady-state entry point
+// record_tick() is PREPARE_HOT: after register_vm() pre-sizes the ring
+// (and episode_opened() the open capture), it only copies into
+// capacity-steady storage; the analyzer proves it allocation-, lock-
+// and IO-free. Memory is bounded by the config caps below (DESIGN.md
+// section 9 gives the per-frame accounting).
 #pragma once
 
 #include <cstddef>
@@ -224,7 +210,7 @@ class PREPARE_DRIVER_CONFINED FlightRecorder {
   /// discarded, mirroring the tracer dropping the episode.
   void episode_suppressed(const std::string& vm);
 
-  // ---- decision evidence (controller / actuator, serial sections) ----
+  // ---- decision evidence (the decision spine, serial sections) ----
 
   /// The cause-inference ranking for an open capture (first one wins,
   /// like the tracer's cause_inferred span).

@@ -1,22 +1,12 @@
 // Metrics registry: named counters, gauges, and log-bucketed histograms.
 //
-// PREPARE's evaluation is about observing the predict → diagnose →
-// prevent loop (Table 1 overhead, alert lead times, action counts), so
-// the reproduction needs a way to measure itself. This registry is that
-// substrate:
-//
-//  * Counter   — monotonically accumulating value (events, actions);
-//  * Gauge     — last-written value (allocations, sim time);
-//  * Histogram — log-bucketed distribution with p50/p90/p99 queries
-//                (stage wall times). Relative quantile error is bounded
-//                by the bucket growth factor (default 1.1 ≈ ±10%).
-//
-// Instruments register by name (dot-separated, see README
-// "Observability" for the naming scheme) and keep the returned pointer:
-// registration is a map lookup, but recording through a cached pointer
-// is a couple of arithmetic ops — cheap enough for per-tick use.
-// Pointers stay valid for the registry's lifetime (reset() clears
-// values, not registrations).
+// The substrate the reproduction measures itself with (Table 1
+// overhead, alert lead times, action counts): counters, last-written
+// gauges, and log-bucketed histograms whose relative quantile error is
+// bounded by the bucket growth factor. Instruments register by
+// dot-separated name and callers keep the returned pointer, which stays
+// valid for the registry's lifetime (reset() clears values, not
+// registrations); recording through it is cheap enough for per-tick use.
 //
 // Thread safety: recording is safe from any number of threads — the
 // parallel per-VM prediction driver hammers stage histograms and

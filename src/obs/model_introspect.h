@@ -1,37 +1,22 @@
 // Model-introspection layer: prediction calibration, per-horizon
 // accuracy, and drift observability.
 //
-// The stage profiler and span tracer see the pipeline from the outside
-// (wall times, alert episodes, outcome counters) but never say *why* a
-// prediction was confident, miscalibrated, or stale. ModelIntrospect
-// closes that gap with three instruments:
+// The stage profiler and span tracer see the pipeline from the outside;
+// ModelIntrospect says *why* a prediction was confident, miscalibrated
+// or stale, with three instruments (DESIGN.md section 9 details each):
+// per-horizon-step calibration of the predicted anomaly probability
+// against the realized SLO state (Brier, log-loss, reliability bins);
+// model-state probes on a round cadence (Markov row entropy and
+// occupancy, TAN CPT support and log-odds spread, discretizer bins);
+// and a drift detector (recent vs. lifetime calibration, bin-occupancy
+// shift) publishing model.drift.* gauges and schema-v3 records.
 //
-//  1. CalibrationTracker — every per-tick predicted anomaly probability
-//     is folded against the realized outcome (SLO state at the target
-//     round) into Brier score, log-loss, and a fixed-bin reliability
-//     histogram, kept **per look-ahead horizon step** (1..k) so the
-//     accuracy decay across the paper's look-ahead window is visible.
-//  2. Model-state probes — per-attribute Markov transition-row entropy
-//     and row-occupancy gauges, classifier CPT support / log-odds
-//     spread, discretizer bin counts, sampled on a round cadence so the
-//     steady-state cost stays under the <5% overhead bar.
-//  3. Drift detector — a recent-window Brier / log-loss comparison
-//     against the lifetime baseline, plus a bin-occupancy shift (total
-//     variation distance between the training-time and recent-window
-//     symbol distributions per attribute), exposed as model.drift.*
-//     gauges and structured `model_drift` JSONL records (obs schema v3;
-//     v1/v2 records are unchanged).
-//
-// Threading contract: like the SpanTracer, the introspector is confined
-// to the driver thread. The controller computes per-horizon
-// probabilities *inside* the parallel per-VM fan-out (each worker
-// writes only its own result slot) but folds them into this class only
-// from the serial section, in deterministic VM order — so the
-// calibration state, drift records, and exported JSONL are bit-identical
-// for any --threads N. No wall clock enters: cadences are round
-// counters, timestamps are sim time. Machine-checked: the class carries
-// PREPARE_DRIVER_CONFINED and tools/prepare_analyze.py proves no
-// parallel_for worker lambda can reach any of its methods.
+// Threading contract: PREPARE_DRIVER_CONFINED, like the SpanTracer.
+// The per-VM fan-out computes per-horizon probabilities into its own
+// result slots; the controller folds them in here only from the serial
+// section, in VM order, so every export is bit-identical for any
+// --threads. No wall clock enters: cadences are round counters,
+// timestamps are sim time.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,7 @@
 // Alert-lifecycle span tracing: causal episodes through the pipeline.
 //
-// The aggregate counters in the MetricsRegistry can say *how many*
-// alerts fired; they cannot answer "what happened to alert X and did
-// the prevention actually help?". The SpanTracer closes that gap: every
-// alert episode gets a deterministic trace id, and each pipeline
+// Counters say *how many* alerts fired; spans say what happened to each.
+// Every alert episode gets a deterministic trace id, and each pipeline
 // transition becomes a child span of the previous one:
 //
 //   raw_alert -> confirmed -> cause_inferred -> prevention_issued
@@ -11,26 +9,16 @@
 //                                   v                  v
 //                       validated / escalated / expired   (terminal)
 //
-// Spans carry structured attributes (VM, top-impact metrics from the
-// TAN attribution, lead time vs. the first SLO violation, the chosen
-// prevention action, the validation verdict) and are exported as
-// `span` records in the JSONL trace (schema v2, see obs/trace_export.h).
+// Spans carry flat attributes and are exported as schema-v2 `span`
+// records; an online outcome ledger folds every closed episode into the
+// alert.outcome.* counters, the alert.lead_time.seconds histogram and
+// the precision / recall / effectiveness gauges (DESIGN.md section 9).
 //
-// An online outcome ledger folds every closed episode into per-run
-// metrics:
-//
-//   alert.outcome.{prevented,false_alarm,missed,escalated,expired}
-//   alert.lead_time.seconds            (histogram)
-//   alert.precision / alert.recall / alert.prevention_effectiveness
-//
-// Threading contract: the tracer is confined to the driver thread, like
-// everything in sim/ (see DESIGN.md section 10). The controller calls it
-// only from the serial sections of a management round — never from the
-// per-VM prediction fan-out — so a parallel run produces a bit-identical
-// span set. Machine-checked: the class carries PREPARE_DRIVER_CONFINED
-// and tools/prepare_analyze.py proves no parallel_for worker lambda can
-// reach any of its methods. The metrics it publishes go through the thread-safe obs::
-// instruments and may be scraped live by the metrics HTTP endpoint.
+// Threading contract: PREPARE_DRIVER_CONFINED (DESIGN.md section 10).
+// Its lifecycle calls come only from core's decision spine
+// (core/decision_sinks.h), in the serial sections of a round, so a
+// parallel run produces a bit-identical span set. The metrics it
+// publishes go through the thread-safe obs:: instruments.
 #pragma once
 
 #include <cstddef>

@@ -16,73 +16,11 @@
 //   {"record":"histogram","run_id":ID,"t":T,"name":N,"count":C,"sum":S,
 //    "min":m,"max":M,"p50":…,"p90":…,"p99":…}
 //
-// Schema v2 adds the alert-lifecycle `span` record (see
-// obs/span_tracer.h; emitted between the event and metric sections):
-//
-//   {"record":"span","run_id":ID,"trace_id":TR,"span_id":SP,
-//    "parent_id":P,"vm":VM,"stage":STAGE,"t_start":T0,"t_end":T1,
-//    <attributes...>}
-//
-// where `parent_id` is "" at the episode root, `stage` is one of
-// raw_alert|confirmed|cause_inferred|prevention_issued|validated|
-// escalated|expired (the last three terminal), and attributes are
-// flat string/number pairs (source, action, reason, outcome,
-// top_metric_N/impact_N, raw_alerts, re_alerts, lead_time_s, …).
-// v1 records are unchanged, so v1 consumers can ignore span records.
-//
-// Schema v3 adds the model-introspection records (see
-// obs/model_introspect.h; emitted between the span and metric
-// sections):
-//
-//   {"record":"calibration","run_id":ID,"t":T,"horizon_step":S,
-//    "horizon_s":H,"n":N,"hits":K,"p_mean":…,"brier":…,"logloss":…,
-//    "bin0_n":…,"bin0_hits":…,…,"bin<B-1>_n":…,"bin<B-1>_hits":…}
-//   {"record":"model_drift","run_id":ID,"t":T,"kind":"calibration"|
-//    "occupancy","triggered":0|1,["attribute":A,]<numeric values…>}
-//
-// One calibration record per look-ahead horizon step with resolved
-// predictions: n/hits are resolved-prediction and realized-abnormal
-// counts, brier/logloss the mean scores, and bin<b>_n/bin<b>_hits the
-// fixed-bin reliability histogram (predicted-probability bucket b
-// covers [b/B, (b+1)/B); the bin counts sum to n/hits). model_drift
-// records are one per drift evaluation and kind; `triggered` is a 0/1
-// number (the schema has no booleans) and `attribute` names the
-// top-drifting attribute for occupancy records. v1/v2 records are
-// unchanged; tools/check_obs_schema.py validates all three versions.
-//
-// Schema v4 adds the flight-recorder `episode_evidence` records (see
-// obs/flight_recorder.h; emitted between the introspection and metric
-// sections). One episode bundle expands to a `kind` family sharing the
-// owning span episode's trace_id:
-//
-//   {"record":"episode_evidence","kind":"bundle","run_id":ID,
-//    "trace_id":TR,"vm":VM,"t_open":T0,"t_close":T1,"outcome":O,
-//    "ticks":N,"pre_ticks":P,"truncated_ticks":X,"attributes":13,
-//    "filter_k":k,"filter_w":W,"alert_min_top_impact":L,
-//    "prevention_mode":M,"companion_scaling":0|1,"lookahead_s":…,
-//    "sampling_interval_s":…,"decomposable":0|1,"attr0":NAME,…}
-//   {"record":"episode_evidence","kind":"tick","run_id":ID,
-//    "trace_id":TR,"vm":VM,"seq":S,"t":T,"phase":"pre"|"episode",
-//    "abnormal":0|1,"raw_alert":0|1,"confirmed":0|1,"score":…,
-//    "prior":…,"decomposable":0|1,"raw<i>":…,"bin<i>":…,"mode<i>":…,
-//    "impact<i>":…,"modep<i>":…,"horizon_len":H,["hp1":…,…]}
-//   {"record":"episode_evidence","kind":"diagnosis", … ,"t":T,
-//    "count":C,"rank1_attr":NAME,"rank1_impact":…,…}
-//   {"record":"episode_evidence","kind":"prevention", … ,"t":T,
-//    "phase":"initial"|"companion"|"fallback","attribute":NAME,
-//    "metric_kind":"cpu"|"memory"|"other","scale_possible":0|1,
-//    "migrate_possible":0|1,"mode":M,"applied":"none"|"scale"|
-//    "migrate"}
-//   {"record":"episode_evidence","kind":"counterfactual", … ,
-//    "policy":M,"compared":C,"diverged":D,"detail":TEXT}
-//
-// `tick` records carry exactly one raw/bin/mode/impact/modep field per
-// attribute (i = 0..attributes-1); `phase:"pre"` ticks precede the
-// owning span episode's root t_start (ring context), `phase:"episode"`
-// ticks lie inside the episode's lifetime. The full per-attribute
-// predicted distributions stay in the in-memory bundle (core/replay.h
-// re-executes from there); the JSONL keeps the classified mode's
-// probability per attribute. v1-v3 records are unchanged;
+// Later versions add record families and leave earlier records
+// unchanged: v2 `span` (obs/span_tracer.h), v3 `calibration` and
+// `model_drift` (obs/model_introspect.h), v4 `episode_evidence`
+// (obs/flight_recorder.h), emitted in that order between the event and
+// metric sections. DESIGN.md section 9 gives each record's shape;
 // tools/check_obs_schema.py validates all four versions.
 #pragma once
 

@@ -3,14 +3,12 @@
 // and when; the trace benches print it alongside the SLO metric series.
 //
 // record() is thread-safe (the capacity guard and the event vector move
-// together under one mutex), so parallel pipeline stages may log
-// concurrently. The by-reference events() accessor is the quiescent
-// exception; the counting/serializing readers take the lock.
-//
-// Despite the internal lock, the log is PREPARE_DRIVER_CONFINED: record
-// ORDER is part of the deterministic run output (benches diff it across
-// --threads N), so the controller only records from serial sections —
-// and tools/prepare_analyze.py proves no worker lambda reaches it.
+// together under one mutex); the by-reference events() accessor is the
+// quiescent exception. Despite the lock, the log is
+// PREPARE_DRIVER_CONFINED: record ORDER is part of the deterministic run
+// output (benches diff it across --threads N), so the controllers write
+// it only through their decision spine (core/decision_sinks.h), from
+// serial sections.
 #pragma once
 
 #include <cstddef>
