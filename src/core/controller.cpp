@@ -99,7 +99,8 @@ std::map<std::string, Classification> InterveningManager::diagnose_violation(
   if (diagnosed.empty() && !best_vm.empty()) diagnosed.emplace(best_vm, best);
   for (const auto& [vm, cls] : diagnosed) {
     unhealthy->insert(vm);
-    sinks_.emit({.kind = DecisionKind::kReactiveDiagnosis, .t = now, .vm = &vm});
+    sinks_.emit(
+        {.kind = DecisionKind::kReactiveDiagnosis, .t = now, .vm = &vm});
   }
   return diagnosed;
 }
@@ -121,8 +122,7 @@ void InterveningManager::validate_and_act(
       diagnosis.workload_change = inference_.workload_change_suspected(now);
   }
   if (diagnosis.workload_change) {
-    sinks_.emit({.kind = DecisionKind::kWorkloadChange,
-                 .t = now,
+    sinks_.emit({.kind = DecisionKind::kWorkloadChange, .t = now,
                  .diagnosis = &diagnosis});
   } else {
     for (const auto& faulty : diagnosis.faulty)
@@ -187,11 +187,8 @@ void PrepareController::train(double t0, double t1) {
     if (sinks_.register_evidence(vm, layout))
       predictor.set_evidence_capture(true);
   }
-  sinks_.emit({.kind = DecisionKind::kTrained,
-               .t = t1,
-               .t0 = t0,
-               .trained = &trained_vms,
-               .models = &predictors_});
+  sinks_.emit({.kind = DecisionKind::kTrained, .t = t1, .t0 = t0,
+               .trained = &trained_vms, .models = &predictors_});
 }
 
 void PrepareController::on_sample(double now) {

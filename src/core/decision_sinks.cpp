@@ -165,7 +165,8 @@ void DecisionSinks::emit(const DecisionEvent& e) {
                               : " (no metric response)"));
       break;
     case DecisionKind::kRankingExhausted:
-      if (tracer_ != nullptr) tracer_->escalated(*e.vm, e.t, "ranking exhausted");
+      if (tracer_ != nullptr)
+        tracer_->escalated(*e.vm, e.t, "ranking exhausted");
       break;
     case DecisionKind::kReclaim:
       record(e.t, EventKind::kInfo, *e.vm,

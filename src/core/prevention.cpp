@@ -100,10 +100,8 @@ bool PreventionActuator::try_migrate(Vm* vm, double now) {
   const auto target = migration_target(*vm, now);
   if (!target) return false;
   if (target->host == nullptr) {
-    sinks_->emit({.kind = DecisionKind::kMigrationSkipped,
-                  .t = now,
-                  .vm = &vm->name(),
-                  .cpu = target->cpu,
+    sinks_->emit({.kind = DecisionKind::kMigrationSkipped, .t = now,
+                  .vm = &vm->name(), .cpu = target->cpu,
                   .mem = target->mem});
     return false;
   }
@@ -152,17 +150,15 @@ bool PreventionActuator::apply_action(Vm* vm, Attribute a, double now,
   ev.scale_possible = scaled ? *scaled : probe_can_scale(*vm, kind);
   ev.migrate_possible = migrated ? *migrated : probe_can_migrate(*vm, now);
   ev.applied = static_cast<int>(applied);
-  sinks_->emit({.kind = DecisionKind::kAttempt,
-                .t = now,
-                .vm = &vm->name(),
+  sinks_->emit({.kind = DecisionKind::kAttempt, .t = now, .vm = &vm->name(),
                 .attempt = &ev});
   return applied != Remedy::kNone;
 }
 
 void PreventionActuator::fire(const std::string& vm, double now,
                               const std::string& action) {
-  sinks_->emit(
-      {.kind = DecisionKind::kActionFired, .t = now, .vm = &vm, .action = &action});
+  sinks_->emit({.kind = DecisionKind::kActionFired, .t = now, .vm = &vm,
+                .action = &action});
   last_action_time_[vm] = now;
 }
 
@@ -243,10 +239,8 @@ void PreventionActuator::on_sample(double now,
     const double denom = std::max(std::abs(before), 1e-6);
     const bool responded =
         std::abs(after - before) / denom >= config_.min_relative_change;
-    sinks_->emit({.kind = DecisionKind::kValidationFailed,
-                  .t = now,
-                  .vm = &vm_name,
-                  .metric = pv.acted,
+    sinks_->emit({.kind = DecisionKind::kValidationFailed, .t = now,
+                  .vm = &vm_name, .metric = pv.acted,
                   .responded = responded});
 
     // Try the next ranked metric, skipping non-actionable ones.
@@ -313,9 +307,7 @@ void PreventionActuator::maybe_reclaim(double now,
       const bool scaled = cpu ? hypervisor_->scale_cpu(vm, target)
                               : hypervisor_->scale_memory(vm, target);
       if (!scaled) return;
-      sinks_->emit({.kind = DecisionKind::kReclaim,
-                    .t = now,
-                    .vm = &vm_name,
+      sinks_->emit({.kind = DecisionKind::kReclaim, .t = now, .vm = &vm_name,
                     .metric = cpu ? Attribute::kCpuUtil : Attribute::kMemUtil});
       last_action_time_[vm_name] = now;
     };

@@ -4,8 +4,14 @@
 // The paper's Table 1 breaks PREPARE's runtime overhead down by module;
 // the StageProfiler reproduces that view at runtime. Each named stage
 // owns a `stage.<name>.seconds` histogram in the MetricsRegistry, and a
-// ScopedTimer on the handle profiler.stage(name) returns (null without a
-// registry) records one sample per timed scope. Timers nest freely (each records its own full span; inner spans are
+// ScopedTimer records one sample per timed scope:
+//
+//   obs::StageProfiler profiler(registry);            // null => no-op
+//   obs::Histogram* stage = profiler.stage("tan_classify");
+//   ...
+//   { obs::ScopedTimer t(stage); classify(); }        // per call site
+//
+// Timers nest freely (each records its own full span; inner spans are
 // not subtracted from outer ones) and cost two steady_clock reads per
 // scope — or nothing at all when the handle is null.
 #pragma once
