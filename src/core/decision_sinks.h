@@ -9,33 +9,34 @@
 // reads the same in every channel. It also keeps the one tally per kind
 // behind the controllers' and actuator's counter accessors.
 //
-// Decisions and the sinks each reaches (c. = controller.*_total and
-// p. = prevention.*_total counters; log lines are INFO unless noted):
+// Decisions and the sinks each reaches. A counter is
+// controller.<name>_total for the first three kinds and
+// prevention.<name>_total for the rest; * marks an INFO log line, ** a
+// WARN line given once per VM until an action fires on it.
 //
-//   kind                EventLog    counter              tracer / recorder
-//   kRawAlert           alert       c.raw_alerts         raw_alert
-//   kConfirmed          alert_conf  c.confirmed_alerts   confirmed      +log
-//   kReactiveFallback   -           c.reactive_fallbacks -              +log
-//   kReactiveDiagnosis  -           -                    reactive_alert
-//   kWorkloadChange     info        -                    workload_change_
-//                                                        suppressed/VM  +log
-//   kCauseInferred      -           -                    cause_inferred,
-//                                                        record_diagnosis
-//   kAttempt            -           -                    record_prevention
-//   kActionFired        prevention  p.actions            prevention_issued
-//   kMigrationSkipped   info        p.migrations_skipped -         +WARN once
-//   kNoApplicableAction info        -                    escalated +WARN once
-//   kValidated          validation  -                    validated
-//   kValidationFailed   validation  p.validations_failed -              +log
-//   kRankingExhausted   -           -                    escalated
-//   kReclaim            info        p.reclaims           -
-//   kTrained            info        -                    -              +log
+//   kind                   EventLog        counter            tracer/recorder
+//   kRawAlert              alert           raw_alerts         raw_alert
+//   kConfirmed *           alert_confirmed confirmed_alerts   confirmed
+//   kReactiveFallback *    -               reactive_fallbacks -
+//   kReactiveDiagnosis     -               -                  reactive_alert
+//   kWorkloadChange *      info            -                  workload_change_
+//                                                             suppressed/VM
+//   kCauseInferred         -               -                  cause_inferred,
+//                                                             record_diagnosis
+//   kAttempt               -               -                  record_prevention
+//   kActionFired           prevention      actions            prevention_issued
+//   kMigrationSkipped **   info            migrations_skipped -
+//   kNoApplicableAction ** info            -                  escalated
+//   kValidated             validation      -                  validated
+//   kValidationFailed *    validation      validations_failed -
+//   kRankingExhausted      -               -                  escalated
+//   kReclaim               info            reclaims           -
+//   kTrained *             info            -                  -
 //
-// "WARN once" is per VM: the warning repeats only after an action fires
-// on that VM. Every sink is optional; a sink set without an event log
-// (offline replay) writes no log lines either. The recorder also takes
-// each round's per-VM evidence frame (record_evidence), and round()
-// feeds the tracer the SLO state and expires stale episodes.
+// Every sink is optional; a sink set without an event log (offline
+// replay) writes no log lines either. The recorder also takes each
+// round's per-VM evidence frame (record_evidence), and round() feeds the
+// tracer the SLO state and expires stale episodes.
 //
 // Driver-confined like the sinks it feeds: emit only from the serial
 // sections of a round, never from the per-VM fan-out, so the fan-out
