@@ -17,6 +17,13 @@
 // backends) or the surprisal() of each query row (outlier). One case
 // runs at a denormal pseudo-count so that smoothed likelihoods underflow
 // to zero and the impact tables take their log-difference fallback.
+//
+// The Chow–Liu edge weights are pinned on their own (kWeightPins): a
+// last-bit drift in a weight need not flip any parents() entry, so the
+// pins above could miss it. One case mixes alphabets from 2 to 14, the
+// largest real alphabet (12 bins plus 2 guard bins). Its rows and the
+// weight digests were recorded from the row-major pair loop that the
+// column-major builder replaced.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -26,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "models/chow_liu.h"
 #include "models/outlier.h"
 #include "models/tan.h"
 
@@ -39,6 +47,7 @@ struct PinCase {
   std::size_t rows;
   double alpha;
   bool outlier;  ///< the outlier model is pinned too (needs alpha >= 1e-3)
+  std::int64_t max_alphabet = 6;  ///< alphabets are drawn from 2..max
 };
 
 constexpr PinCase kCases[] = {
@@ -48,8 +57,10 @@ constexpr PinCase kCases[] = {
     {"denormal_alpha_fallback", 4, 4, 150,
      std::numeric_limits<double>::denorm_min(), false},
     {"one_attr_alpha_milli", 5, 1, 120, 1e-3, true},
+    {"mixed_alphabet_2_to_14", 7, 12, 250, 1e-3, true, 14},
 };
 constexpr std::size_t kFallbackCase = 3;
+constexpr std::size_t kMixedCase = 5;
 
 constexpr std::size_t N = ChowLiuTree::kNoParent;
 
@@ -93,6 +104,12 @@ const Pinned kTanPins[] = {
      0x40341d5342da2fdf, 0x0000000000000000,
      0x97127b2380692d7d, 0xa6908e9e1d8eccc1, 0xde48ae5921730d6c,
      0x256d0ecd027b132d},
+    // mixed_alphabet_2_to_14
+    {{N, 0, 1, 10, 3, 1, 7, 1, 7, 10, 7, 7},
+     0xbff21802cdae49d0, 0x0000000000000000, 0x3ff3fbbca48e6355,
+     0x403409c68f43a4d8, 0x0000000000000000,
+     0xee15ea0222553ac6, 0xab6afddd37d9a34a, 0x77ad3604a0605e7f,
+     0x2f2396d8080554cd},
 };
 const Pinned kNaiveBayesPins[] = {
     // five_attr_alpha_half
@@ -125,6 +142,12 @@ const Pinned kNaiveBayesPins[] = {
      0x40341d5342da2fdf, 0x0000000000000000,
      0x97127b2380692d7d, 0xa6908e9e1d8eccc1, 0xde48ae5921730d6c,
      0x256d0ecd027b132d},
+    // mixed_alphabet_2_to_14
+    {{N, N, N, N, N, N, N, N, N, N, N, N},
+     0xbff21802cdae49d0, 0x0000000000000000, 0x402c0991f1a51588,
+     0x40347191d219cce4, 0x0000000000000000,
+     0x682531e0aeb2ff5e, 0xfc5d44bc5385e8d1, 0xcaae8235750ff3e6,
+     0x26b13ef089609533},
 };
 const Pinned kOutlierPins[] = {
     // five_attr_alpha_half
@@ -151,6 +174,28 @@ const Pinned kOutlierPins[] = {
      0x0000000000000000, 0x400df4c130faea9d,
      0xbb53797c95307518, 0xf02539ff096b7fa5, 0xce872c730754a0f2,
      0x99592c7e7434fe96},
+    // mixed_alphabet_2_to_14
+    {{N, 0, 1, 9, 3, 1, 0, 6, 7, 6, 9, 6},
+     0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+     0x0000000000000000, 0x403bd10c0fad5789,
+     0xbd0325e8212ca1db, 0x76578a268744d76e, 0x70efaa16377f7f78,
+     0xd3e79fbcd4291de2},
+};
+
+/// FNV-1a digests of every Chow–Liu edge weight, row by row over the
+/// full n x n matrix, aligned with kCases: TAN's
+/// conditional_mutual_information(i, j) and the outlier mode's
+/// learn_chow_liu_tree(data, alpha, false).weights.
+struct WeightPins {
+  std::uint64_t tan_cmi, plain_mi;
+};
+const WeightPins kWeightPins[] = {
+    {0xcf5b39e74cb976ab, 0xd7c463a6cfdd2e43},  // five_attr_alpha_half
+    {0x13406eb4984eada7, 0xc818472ea9f50651},  // eight_attr_alpha_milli
+    {0x173fdd1b48aacaef, 0xaa336a680a746b67},  // thirteen_attr_alpha_half
+    {0x56790afcc3fed3f3, 0x2b12dcbc990bfbdd},  // denormal_alpha_fallback
+    {0xaf63bd4c8601b7df, 0xaf63bd4c8601b7df},  // one_attr_alpha_milli
+    {0x73adfc3ea0622dd5, 0x1896d38ec9f7bc23},  // mixed_alphabet_2_to_14
 };
 
 /// FNV-1a over 64-bit words.
@@ -162,12 +207,13 @@ struct Digest {
 
 /// Attributes cycle through three roles: label-driven, a noisy copy of
 /// the previous attribute (so the tree has edges worth learning), and
-/// pure noise. Alphabets vary per attribute in 2..6.
+/// pure noise. Alphabets vary per attribute in 2..max_alphabet.
 LabeledDataset pin_dataset(const PinCase& pc) {
   Rng rng(pc.seed);
   LabeledDataset d;
   for (std::size_t a = 0; a < pc.attributes; ++a)
-    d.alphabet.push_back(static_cast<std::size_t>(rng.uniform_int(2, 6)));
+    d.alphabet.push_back(
+        static_cast<std::size_t>(rng.uniform_int(2, pc.max_alphabet)));
   for (std::size_t r = 0; r < pc.rows; ++r) {
     const bool abnormal = rng.chance(0.25);
     std::vector<std::size_t> row(pc.attributes);
@@ -332,6 +378,32 @@ TEST(ClassifierBitPin, Outlier) {
     expect_pinned(got, kOutlierPins[pinned++], pc.name);
   }
   EXPECT_EQ(pinned, std::size(kOutlierPins));
+}
+
+TEST(ClassifierBitPin, ChowLiuWeights) {
+  for (std::size_t c = 0; c < std::size(kCases); ++c) {
+    SCOPED_TRACE(kCases[c].name);
+    const auto data = pin_dataset(kCases[c]);
+    TanClassifier tan(kCases[c].alpha);
+    tan.train(data);
+    const ChowLiuTree plain =
+        learn_chow_liu_tree(data, kCases[c].alpha, /*class_conditional=*/false);
+    Digest tan_cmi, plain_mi;
+    for (std::size_t i = 0; i < data.attributes(); ++i)
+      for (std::size_t j = 0; j < data.attributes(); ++j) {
+        tan_cmi.add(tan.conditional_mutual_information(i, j));
+        plain_mi.add(plain.weights[i][j]);
+      }
+    EXPECT_EQ(tan_cmi.h, kWeightPins[c].tan_cmi) << std::hex << tan_cmi.h;
+    EXPECT_EQ(plain_mi.h, kWeightPins[c].plain_mi) << std::hex << plain_mi.h;
+  }
+}
+
+// The mixed case must span the alphabets it is named for.
+TEST(ClassifierBitPin, MixedCaseSpansTwoToFourteen) {
+  const auto data = pin_dataset(kCases[kMixedCase]);
+  EXPECT_EQ(*std::min_element(data.alphabet.begin(), data.alphabet.end()), 2u);
+  EXPECT_EQ(*std::max_element(data.alphabet.begin(), data.alphabet.end()), 14u);
 }
 
 // The denormal-alpha case must actually reach the impact tables'
