@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
 
 #include "common/check.h"
 
@@ -12,48 +14,87 @@ namespace prepare {
 ChowLiuTree learn_chow_liu_tree(const LabeledDataset& data, double alpha,
                                 bool class_conditional) {
   const std::size_t n = data.attributes();
+  const std::size_t rows = data.size();
+  for (std::size_t i = 0; i < n; ++i)
+    PREPARE_CHECK_LE(data.alphabet[i], std::size_t{1} << 16)
+        << "attribute " << i << " has alphabet " << data.alphabet[i]
+        << ", too large for a 16-bit symbol column";
   const std::size_t classes = class_conditional ? 2 : 1;
   std::array<double, 2> class_weight = {1.0, 1.0};
   for (std::size_t c = 0; class_conditional && c < 2; ++c) {
     const double n_c = static_cast<double>(
         std::count(data.abnormal.begin(), data.abnormal.end(), c == 1));
     class_weight[c] =
-        (n_c + alpha) / (static_cast<double>(data.size()) + 2.0 * alpha);
+        (n_c + alpha) / (static_cast<double>(rows) + 2.0 * alpha);
   }
 
-  // Smoothed joint and marginal counts, class-major (class c's cells
-  // follow class c-1's), filled in a single pass over the rows. The
-  // buffers live outside the pair loop so each pair reuses one
-  // allocation.
+  // Attribute-major symbol columns and one class byte per row, so each
+  // pair pass streams two contiguous arrays; each attribute's per-class
+  // marginal counts (class-major) are taken once, not once per pair.
+  std::vector<std::uint16_t> column(n * rows);
+  std::vector<std::uint8_t> row_class(rows);
+  std::vector<std::size_t> margin_at(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    margin_at[i + 1] = margin_at[i] + classes * data.alphabet[i];
+  std::vector<std::uint32_t> margin(margin_at[n], 0);
+  std::array<std::uint32_t, 2> class_rows = {0, 0};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t c = class_conditional && data.abnormal[r] ? 1 : 0;
+    row_class[r] = static_cast<std::uint8_t>(c);
+    ++class_rows[c];
+    for (std::size_t i = 0; i < n; ++i) {
+      column[i * rows + r] = static_cast<std::uint16_t>(data.rows[r][i]);
+      ++margin[margin_at[i] + c * data.alphabet[i] + data.rows[r][i]];
+    }
+  }
+
+  // Every smoothed count is a pseudo-count alpha * m (m = 1 for a joint
+  // cell, the partner's alphabet for a marginal, ki * kj for a class
+  // total) plus k rows, summed as s + 1.0 + ... + 1.0; for non-dyadic
+  // alpha that is not always s + k. ladder(m)[k] holds that sum, built
+  // on first use of m.
+  std::map<std::size_t, std::vector<double>> ladders;
+  const auto ladder = [&](std::size_t m) -> const std::vector<double>& {
+    auto [it, fresh] = ladders.try_emplace(m, rows + 1);
+    if (fresh) {
+      it->second[0] = alpha * static_cast<double>(m);
+      for (std::size_t k = 0; k < rows; ++k)
+        it->second[k + 1] = it->second[k] + 1.0;
+    }
+    return it->second;
+  };
+
   ChowLiuTree tree;
   tree.weights.assign(n, std::vector<double>(n, 0.0));
-  std::vector<double> joint, margin_i, margin_j;
+  std::vector<std::uint32_t> joint;
+  std::vector<double> p_j;
+  const std::vector<double>& cell = ladder(1);
   for (std::size_t i = 0; i < n; ++i) {
+    const std::uint16_t* col_i = &column[i * rows];
     for (std::size_t j = i + 1; j < n; ++j) {
+      const std::uint16_t* col_j = &column[j * rows];
       const std::size_t ki = data.alphabet[i], kj = data.alphabet[j];
-      joint.assign(classes * ki * kj, alpha);
-      margin_i.assign(classes * ki, alpha * static_cast<double>(kj));
-      margin_j.assign(classes * kj, alpha * static_cast<double>(ki));
-      const double smoothing = alpha * static_cast<double>(ki * kj);
-      std::array<double, 2> total = {smoothing, smoothing};
-      for (std::size_t r = 0; r < data.rows.size(); ++r) {
-        const std::size_t c = class_conditional && data.abnormal[r] ? 1 : 0;
-        const std::size_t vi = data.rows[r][i], vj = data.rows[r][j];
-        joint[(c * ki + vi) * kj + vj] += 1.0;
-        margin_i[c * ki + vi] += 1.0;
-        margin_j[c * kj + vj] += 1.0;
-        total[c] += 1.0;
-      }
+      const std::vector<double>& margin_i = ladder(kj);
+      const std::vector<double>& margin_j = ladder(ki);
+      const std::vector<double>& total = ladder(ki * kj);
+      joint.assign(classes * ki * kj, 0);
+      for (std::size_t r = 0; r < rows; ++r)
+        ++joint[(row_class[r] * ki + col_i[r]) * kj + col_j[r]];
+      p_j.resize(kj);
       double info = 0.0;
       for (std::size_t c = 0; c < classes; ++c) {
+        const double total_c = total[class_rows[c]];
+        for (std::size_t vj = 0; vj < kj; ++vj)
+          p_j[vj] = margin_j[margin[margin_at[j] + c * kj + vj]] / total_c;
         double info_c = 0.0;
         for (std::size_t vi = 0; vi < ki; ++vi) {
+          const double p_i =
+              margin_i[margin[margin_at[i] + c * ki + vi]] / total_c;
           for (std::size_t vj = 0; vj < kj; ++vj) {
-            const double p_joint = joint[(c * ki + vi) * kj + vj] / total[c];
-            const double p_i = margin_i[c * ki + vi] / total[c];
-            const double p_j = margin_j[c * kj + vj] / total[c];
+            const double p_joint =
+                cell[joint[(c * ki + vi) * kj + vj]] / total_c;
             if (p_joint > 0.0)
-              info_c += p_joint * std::log(p_joint / (p_i * p_j));
+              info_c += p_joint * std::log(p_joint / (p_i * p_j[vj]));
           }
         }
         info += class_weight[c] * std::max(0.0, info_c);
@@ -97,6 +138,28 @@ ChowLiuTree learn_chow_liu_tree(const LabeledDataset& data, double alpha,
     }
   }
   return tree;
+}
+
+std::vector<std::vector<double>> count_parent_tables(
+    const LabeledDataset& data, const std::vector<std::size_t>& parents,
+    std::optional<bool> label) {
+  const std::size_t n = data.attributes();
+  std::vector<std::vector<double>> tables(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t p = parents[i];
+    const std::size_t k = p == ChowLiuTree::kNoParent ? 1 : data.alphabet[p];
+    tables[i].assign(k * data.alphabet[i], 0.0);
+  }
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    if (label && data.abnormal[r] != *label) continue;
+    const auto& row = data.rows[r];
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t pv =
+          parents[i] == ChowLiuTree::kNoParent ? 0 : row[parents[i]];
+      tables[i][pv * data.alphabet[i] + row[i]] += 1.0;
+    }
+  }
+  return tables;
 }
 
 }  // namespace prepare

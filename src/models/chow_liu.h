@@ -8,9 +8,14 @@
 // pair by the class-conditional I(A_i; A_j | C) (Friedman's
 // construction); the outlier detector by the plain I(A_i; A_j) of its
 // unlabeled density model.
+//
+// The pair loop counts integers over attribute-major 16-bit columns and
+// maps each count back to the double of the row-by-row sum
+// alpha + 1.0 + 1.0 + ..., so every weight is bit-identical to it.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "models/dataset.h"
@@ -32,7 +37,17 @@ struct ChowLiuTree {
 /// sum_c P(c) * max(0, I(A_i; A_j | C = c)) with the smoothed class prior
 /// P(c) = (n_c + alpha) / (N + 2 alpha); otherwise it weighs
 /// max(0, I(A_i; A_j)) over all rows and the labels are never read.
+/// Throws CheckFailure, naming the attribute, on an alphabet larger
+/// than a 16-bit symbol column holds.
 ChowLiuTree learn_chow_liu_tree(const LabeledDataset& data, double alpha,
                                 bool class_conditional);
+
+/// Parent-conditional counts for a learned tree: tables[i] holds, at
+/// pv * alphabet[i] + v, the number of rows with attribute i at v and
+/// its parent parents[i] at pv (pv = 0 for the root). With `label`,
+/// only rows of that class count.
+std::vector<std::vector<double>> count_parent_tables(
+    const LabeledDataset& data, const std::vector<std::size_t>& parents,
+    std::optional<bool> label = std::nullopt);
 
 }  // namespace prepare

@@ -18,22 +18,6 @@ OutlierClassifier::OutlierClassifier(double threshold_quantile, double alpha,
   PREPARE_CHECK(threshold_margin >= 1.0);
 }
 
-void OutlierClassifier::learn_tables(const LabeledDataset& data) {
-  const std::size_t n = data.attributes();
-  table_.assign(n, {});
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t rows =
-        parents_[i] == kNoParent ? 1 : alphabet_[parents_[i]];
-    table_[i].assign(rows * alphabet_[i], 0.0);
-  }
-  for (const auto& row : data.rows) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t pv = parents_[i] == kNoParent ? 0 : row[parents_[i]];
-      table_[i][pv * alphabet_[i] + row[i]] += 1.0;
-    }
-  }
-}
-
 void OutlierClassifier::train(const LabeledDataset& data) {
   PREPARE_CHECK_MSG(!data.rows.empty(), "empty training set");
   PREPARE_CHECK(data.attributes() >= 1);
@@ -41,7 +25,7 @@ void OutlierClassifier::train(const LabeledDataset& data) {
   alphabet_ = data.alphabet;
   parents_ =
       learn_chow_liu_tree(data, alpha_, /*class_conditional=*/false).parents;
-  learn_tables(data);
+  table_ = count_parent_tables(data, parents_);
   trained_ = true;
 
   // Baselines and decision threshold from the training data itself.

@@ -59,7 +59,6 @@ class OutlierClassifier : public Classifier {
   const std::vector<std::size_t>& parents() const { return parents_; }
 
  private:
-  void learn_tables(const LabeledDataset& data);
   /// -log P(a_i = v | parent value).
   double local_surprisal(std::size_t attribute, std::size_t value,
                          std::size_t parent_value) const;

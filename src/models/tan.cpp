@@ -27,36 +27,13 @@ void TanClassifier::train(const LabeledDataset& data) {
   } else {
     parents_.assign(data.attributes(), kNoParent);
   }
-  learn_cpts(data);
+  for (int c = 0; c < 2; ++c) {
+    cpt_[c] = count_parent_tables(data, parents_, c == 1);
+    class_counts_[c] = static_cast<double>(
+        std::count(data.abnormal.begin(), data.abnormal.end(), c == 1));
+  }
   trained_ = true;
   build_impact_tables();
-}
-
-void TanClassifier::learn_cpts(const LabeledDataset& data) {
-  const std::size_t n = data.attributes();
-  class_counts_ = {0.0, 0.0};
-  for (int c = 0; c < 2; ++c) {
-    cpt_[c].assign(n, {});
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t rows =
-          parents_[i] == kNoParent ? 1 : alphabet_[parents_[i]];
-      cpt_[c][i].assign(rows * alphabet_[i], 0.0);
-    }
-  }
-  for (std::size_t r = 0; r < data.rows.size(); ++r) {
-    const auto& row = data.rows[r];
-    const int c = data.abnormal[r] ? 1 : 0;
-    class_counts_[c] += 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t pv =
-          parents_[i] == kNoParent ? 0 : row[parents_[i]];
-      cpt_[c][i][pv * alphabet_[i] + row[i]] += 1.0;
-    }
-  }
-  // Every training row landed in exactly one class bucket.
-  PREPARE_DCHECK_NEAR(class_counts_[0] + class_counts_[1],
-                      static_cast<double>(data.rows.size()), 1e-9)
-      << "class counts do not cover the training set";
 }
 
 Probability TanClassifier::likelihood(std::size_t attribute, BinIndex value,

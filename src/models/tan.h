@@ -70,7 +70,6 @@ class TanClassifier : public Classifier {
   double conditional_mutual_information(std::size_t i, std::size_t j) const;
 
  private:
-  void learn_cpts(const LabeledDataset& data);
   void build_impact_tables();
   double log_impact(std::size_t attribute, std::size_t value,
                     std::size_t parent_value) const {

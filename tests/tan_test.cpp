@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -192,6 +193,24 @@ TEST(Tan, MalformedTrainingRowsThrow) {
   data = correlated_dataset(100, 12);
   data.rows[5].pop_back();
   EXPECT_THROW(TanClassifier().train(data), CheckFailure);
+}
+
+TEST(Tan, AlphabetBeyondSixteenBitColumnsThrows) {
+  // The structure learner stores symbols in 16-bit columns; a larger
+  // alphabet fails loudly, naming the attribute, before anything sized
+  // by the alphabet is allocated.
+  auto data = correlated_dataset(100, 13);
+  data.alphabet[1] = 65537;
+  try {
+    TanClassifier().train(data);
+    ADD_FAILURE() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("attribute 1 has alphabet 65537"),
+              std::string::npos)
+        << e.what();
+  }
+  data.alphabet[1] = 65536;  // the largest that fits
+  EXPECT_NO_THROW(learn_chow_liu_tree(data, 1.0, /*class_conditional=*/true));
 }
 
 TEST(Tan, MismatchedRowSizeThrows) {
