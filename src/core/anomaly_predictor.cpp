@@ -31,6 +31,10 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
                      config_.guard_bins));
   std::vector<std::vector<double>> columns(n);
   std::vector<std::vector<double>> fit_columns(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    columns[i].reserve(rows.size());
+    fit_columns[i].reserve(rows.size());
+  }
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const auto& row = rows[r];
     PREPARE_CHECK(row.size() == n);
@@ -72,17 +76,12 @@ void AnomalyPredictor::train(const std::vector<std::vector<double>>& rows,
   markov_.emplace(config_.markov_order, alphabets, config_.markov_alpha);
   markov_->train(sequences);
 
-  // Train the classifier on discretized rows + labels.
+  // Train the classifier on the same symbols, as rows + labels.
   LabeledDataset data;
-  data.alphabet.resize(n);
-  for (std::size_t i = 0; i < n; ++i) data.alphabet[i] = discretizers_[i].bins();
-  data.rows.reserve(rows.size());
-  for (const auto& row : rows) {
-    std::vector<std::size_t> symbols(n);
-    for (std::size_t i = 0; i < n; ++i)
-      symbols[i] = discretizers_[i].discretize(row[i]);
-    data.rows.push_back(std::move(symbols));
-  }
+  data.alphabet = alphabets;
+  data.rows.assign(rows.size(), std::vector<std::size_t>(n));
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    for (std::size_t i = 0; i < n; ++i) data.rows[r][i] = sequences[i][r];
   data.abnormal.assign(abnormal.begin(), abnormal.end());
   switch (config_.classifier) {
     case ClassifierKind::kNaiveBayes:
