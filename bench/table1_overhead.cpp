@@ -140,6 +140,34 @@ void BM_TanTraining600(benchmark::State& state) {
 }
 BENCHMARK(BM_TanTraining600);
 
+/// The trace_accuracy workload's monolithic model: one TAN over 7 VMs x
+/// 13 attributes = 91 attributes, trained on 141 rows, where the
+/// Chow–Liu pair loop (4095 pairs) dominates. Every third attribute
+/// follows the label; the rest are seeded noise.
+void BM_MonolithicTanTraining(benchmark::State& state) {
+  constexpr std::size_t kAttributes = 7 * kAttributeCount;
+  constexpr std::size_t kRows = 141;
+  Rng rng(23);
+  LabeledDataset dataset;
+  dataset.alphabet.assign(kAttributes, kBins);
+  const auto top = static_cast<std::int64_t>(kBins) - 1;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const bool abnormal = rng.chance(0.2);
+    std::vector<std::size_t> row;
+    for (std::size_t a = 0; a < kAttributes; ++a)
+      row.push_back(static_cast<std::size_t>(
+          a % 3 == 0 && abnormal ? top : rng.uniform_int(0, top)));
+    dataset.rows.push_back(std::move(row));
+    dataset.abnormal.push_back(abnormal);
+  }
+  for (auto _ : state) {
+    TanClassifier tan;
+    tan.train(dataset);
+    benchmark::DoNotOptimize(tan);
+  }
+}
+BENCHMARK(BM_MonolithicTanTraining);
+
 void BM_FullPredictorTraining600(benchmark::State& state) {
   const auto& data = training_data();
   std::vector<std::string> names;
