@@ -10,8 +10,8 @@
 // unlabeled density model.
 //
 // The pair loop counts integers over attribute-major 16-bit columns and
-// maps each count back to the double of the row-by-row sum
-// alpha + 1.0 + 1.0 + ..., so every weight is bit-identical to it.
+// maps each count back to the double that adding 1.0 per row to the
+// pseudo-count gives, so the weights match a row-by-row sum bit for bit.
 #pragma once
 
 #include <cstddef>
